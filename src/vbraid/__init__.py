@@ -10,7 +10,6 @@ and runs randomized searches for words acting trivially.
 from .action import (
     Coordinates,
     Quad,
-    act_letter,
     act_quad,
     act_rho,
     act_sigma,
@@ -19,8 +18,6 @@ from .action import (
     apply_letters,
     base_vector,
     even_sum,
-    neg_part,
-    pos_part,
 )
 from .diagram import (
     BOXES,
@@ -49,7 +46,6 @@ from .hunt import (
     moved_fraction,
     provably_trivial,
     relation_rules,
-    screen_word,
 )
 from .wordproblem import (
     Equality,
@@ -66,7 +62,6 @@ from .words import (
     Letter,
     ParseError,
     cancels,
-    concat,
     format_word,
     free_reduce,
     inverse,

@@ -22,49 +22,31 @@ crossings grow coordinates without bound and no fixed-width type is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from random import Random
+from typing import Iterable, Iterator, Sequence
 
 from .words import RHO, SIGMA, SIGMA_INV, BraidWord, Letter
 
 Quad = tuple[int, int, int, int]
 
 
-def pos_part(x: int) -> int:
-    """max(x, 0)."""
-    return x if x > 0 else 0
-
-
-def neg_part(x: int) -> int:
-    """min(x, 0); pos_part(x) + neg_part(x) == x."""
-    return x if x < 0 else 0
-
-
-def act_sigma(quad: Quad) -> Quad:
-    """Image of a quadruple under the positive crossing."""
-    a, b, c, d = quad
+def _cross(kind: int, a: int, b: int, c: int, d: int) -> Quad:
+    """The crossing formulas of the module docstring; kind is SIGMA or SIGMA_INV."""
     bp = b if b > 0 else 0
     bm = b if b < 0 else 0
     dp = d if d > 0 else 0
     dm = d if d < 0 else 0
-    e = a - bm - c + dp
-    ep = e if e > 0 else 0
-    u = dp - e
-    w = bm + e
-    return (
-        a + bp + (u if u > 0 else 0),
-        d - ep,
-        c + dm + (w if w < 0 else 0),
-        b + ep,
-    )
-
-
-def act_sigma_inv(quad: Quad) -> Quad:
-    """Image of a quadruple under the inverse crossing."""
-    a, b, c, d = quad
-    bp = b if b > 0 else 0
-    bm = b if b < 0 else 0
-    dp = d if d > 0 else 0
-    dm = d if d < 0 else 0
+    if kind == SIGMA:
+        e = a - bm - c + dp
+        ep = e if e > 0 else 0
+        u = dp - e
+        w = bm + e
+        return (
+            a + bp + (u if u > 0 else 0),
+            d - ep,
+            c + dm + (w if w < 0 else 0),
+            b + ep,
+        )
     f = a + bm - c - dp
     fm = f if f < 0 else 0
     u = dp + f
@@ -77,6 +59,16 @@ def act_sigma_inv(quad: Quad) -> Quad:
     )
 
 
+def act_sigma(quad: Quad) -> Quad:
+    """Image of a quadruple under the positive crossing."""
+    return _cross(SIGMA, *quad)
+
+
+def act_sigma_inv(quad: Quad) -> Quad:
+    """Image of a quadruple under the inverse crossing."""
+    return _cross(SIGMA_INV, *quad)
+
+
 def act_rho(quad: Quad) -> Quad:
     """Image of a quadruple under the virtual crossing: swap the two pairs."""
     a, b, c, d = quad
@@ -85,10 +77,9 @@ def act_rho(quad: Quad) -> Quad:
 
 def act_quad(kind: int, quad: Quad) -> Quad:
     """Dispatch on the letter kind (SIGMA, SIGMA_INV or RHO)."""
-    if kind == SIGMA:
-        return act_sigma(quad)
-    if kind == SIGMA_INV:
-        return act_sigma_inv(quad)
+    if kind == SIGMA or kind == SIGMA_INV:
+        a, b, c, d = quad
+        return _cross(kind, a, b, c, d)
     if kind == RHO:
         return act_rho(quad)
     raise ValueError(f"unknown letter kind {kind}")
@@ -151,45 +142,28 @@ def apply_letters(entries: Sequence[int], letters: Iterable[Letter]) -> list[int
     v = list(entries)
     for kind, i in letters:
         j = 2 * i - 2
-        if kind == 0:
+        if kind == RHO:
             v[j], v[j + 1], v[j + 2], v[j + 3] = v[j + 2], v[j + 3], v[j], v[j + 1]
-            continue
-        a = v[j]
-        b = v[j + 1]
-        c = v[j + 2]
-        d = v[j + 3]
-        bp = b if b > 0 else 0
-        bm = b if b < 0 else 0
-        dp = d if d > 0 else 0
-        dm = d if d < 0 else 0
-        if kind == 1:
-            e = a - bm - c + dp
-            ep = e if e > 0 else 0
-            u = dp - e
-            w = bm + e
-            v[j] = a + bp + (u if u > 0 else 0)
-            v[j + 1] = d - ep
-            v[j + 2] = c + dm + (w if w < 0 else 0)
-            v[j + 3] = b + ep
         else:
-            f = a + bm - c - dp
-            fm = f if f < 0 else 0
-            u = dp + f
-            w = bm - f
-            v[j] = a - bp - (u if u > 0 else 0)
-            v[j + 1] = d + fm
-            v[j + 2] = c - dm - (w if w < 0 else 0)
-            v[j + 3] = b - fm
+            v[j], v[j + 1], v[j + 2], v[j + 3] = _cross(
+                kind, v[j], v[j + 1], v[j + 2], v[j + 3]
+            )
     return v
 
 
-def act_letter(coords: Coordinates, letter: Letter) -> Coordinates:
-    """Act by a single generator letter."""
-    if not 1 <= letter.index < coords.strands:
-        raise ValueError(
-            f"letter index {letter.index} out of range for {coords.strands} strands"
-        )
-    return Coordinates(coords.strands, tuple(apply_letters(coords.entries, (letter,))))
+def moved_probes(
+    letters: Sequence[Letter], width: int, count: int, bound: int, rng: Random
+) -> Iterator[list[int]]:
+    """The probe battery: yield each of ``count`` random probes the letters move.
+
+    Probes have ``width`` entries drawn independently and uniformly from the
+    integers in [-bound, bound].  Probes are drawn lazily, so a caller that
+    stops early leaves ``rng`` just past the last probe it saw.
+    """
+    for _ in range(count):
+        probe = [rng.randint(-bound, bound) for _ in range(width)]
+        if apply_letters(probe, letters) != probe:
+            yield probe
 
 
 def act_word(coords: Coordinates, word: BraidWord) -> Coordinates:

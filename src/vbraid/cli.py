@@ -1,6 +1,8 @@
 """Command line surface: vbraid <subcommand>.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation error, 2 verification failure (a
+failing diagram check, a certificate violation, or a hunt that leaves a
+kernel candidate; the hunt writes its report first).
 Every randomized subcommand requires an explicit --seed.
 """
 
@@ -113,7 +115,7 @@ def _cmd_hunt(args) -> int:
         f"base fixers, {len(report.kernel_candidates)} kernel candidates "
         f"({report.runtime_seconds:.1f}s)"
     )
-    return 0
+    return VERIFICATION_FAILURE if report.kernel_candidates else 0
 
 
 def _cmd_moved_fraction(args) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .action import apply_letters
+from .action import apply_letters, moved_probes
 from .words import (
     RHO,
     SIGMA,
@@ -256,32 +256,8 @@ def moved_fraction(
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
-    letters = word.letters
-    width = 2 * word.strands
-    bound = coefficient_bound
-    moved = 0
-    for _ in range(samples):
-        entries = [rng.randint(-bound, bound) for _ in range(width)]
-        if apply_letters(entries, letters) != entries:
-            moved += 1
-    return Fraction(moved, samples)
-
-
-def screen_word(
-    word: BraidWord,
-    base: tuple[int, ...],
-    battery_size: int,
-    coefficient_bound: int,
-    rng: Random,
-) -> tuple[bool, Fraction | None]:
-    """Two-stage filter for one word.
-
-    Returns (fixes_base, battery_moved_fraction); the battery only runs for
-    base fixers, so the fraction is None otherwise.
-    """
-    if apply_letters(base, word.letters) != list(base):
-        return (False, None)
-    return (True, moved_fraction(word, battery_size, coefficient_bound, rng))
+    probes = moved_probes(word.letters, 2 * word.strands, samples, coefficient_bound, rng)
+    return Fraction(sum(1 for _ in probes), samples)
 
 
 def _scan_range(config: HuntConfig, start: int, stop: int) -> dict[str, tuple[int, Fraction]]:

@@ -15,8 +15,8 @@ import enum
 from dataclasses import dataclass
 from random import Random
 
-from .action import Coordinates, act_word, apply_letters, base_vector
-from .words import BraidWord, format_word, free_reduce, permutation
+from .action import Coordinates, act_word, base_vector, moved_probes
+from .words import BraidWord, format_word, free_reduce, inverse, permutation
 
 # The probe distribution for randomized batteries: entries uniform on
 # integers in [-BATTERY_BOUND, BATTERY_BOUND].
@@ -115,10 +115,13 @@ def distinguish_vbn(
     vector is moved differently, or when any of ``battery`` random probe
     vectors is.  Returns Equal only for letter-identical reduced words or
     on two strands, where the complete decider applies.  Otherwise Unknown:
-    for three or more strands no faithful vector is known.
+    for three or more strands no faithful vector is known.  A negative
+    ``battery`` is a ValueError.
     """
     if w1.strands != w2.strands:
         raise ValueError(f"strand counts differ: {w1.strands} vs {w2.strands}")
+    if battery < 0:
+        raise ValueError(f"battery size must be nonnegative, got {battery}")
     r1, r2 = free_reduce(w1), free_reduce(w2)
     if r1.letters == r2.letters:
         return Verdict(Equality.EQUAL, witness="identical words after free reduction")
@@ -138,18 +141,11 @@ def distinguish_vbn(
 
     if battery > 0 and rng is None:
         raise ValueError("a seeded Random is required for the probe battery")
-    width = 2 * w1.strands
-    for _ in range(battery):
-        entries = [rng.randint(-BATTERY_BOUND, BATTERY_BOUND) for _ in range(width)]
-        left = apply_letters(entries, w1.letters)
-        right = apply_letters(entries, w2.letters)
-        if left != right:
-            return Verdict(
-                Equality.DISTINCT,
-                witness=f"vector {','.join(map(str, entries))} is moved differently",
-                probe=tuple(entries),
-                images=(tuple(left), tuple(right)),
-            )
+    # The action is a bijection: p.w1 != p.w2 exactly when w1 w2^-1 moves p.
+    quotient = (w1 * inverse(w2)).letters
+    probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
+    if probe is not None:
+        return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
     return Verdict(
         Equality.UNKNOWN,
         witness=f"agree on the strand permutation, the base vector and "

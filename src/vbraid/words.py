@@ -25,6 +25,10 @@ _KINDS = (SIGMA, SIGMA_INV, RHO)
 _KIND_CHAR = {SIGMA: "s", SIGMA_INV: "S", RHO: "r"}
 _CHAR_KIND = {"s": SIGMA, "S": SIGMA_INV, "r": RHO}
 
+# Upper bound on the letters of a parsed word, checked before exponents
+# expand, so no word text can make the parser allocate without limit.
+MAX_LETTERS = 10**6
+
 _TOKEN_RE = re.compile(r"([sSr])([0-9]+)(?:\^(-?[0-9]+))?\Z")
 _BAD_EXPONENT_RE = re.compile(r"[sSr][0-9]+\^.*\Z")
 
@@ -102,7 +106,8 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     With ``strands`` omitted the strand count is inferred as one more than
     the largest generator index (minimum 2).  Exponents expand in place:
     's1^3' gives three copies of sigma_1, negative exponents invert, and a
-    rho exponent only matters mod 2.
+    rho exponent only matters mod 2.  A word longer than ``MAX_LETTERS``
+    letters is a ParseError.
     """
     if strands is not None and strands < 2:
         raise ValueError(f"strand count must be at least 2, got {strands}")
@@ -125,12 +130,11 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         max_index = max(max_index, index)
         kind = _CHAR_KIND[char]
         exponent = 1 if exponent_text is None else int(exponent_text)
-        if kind == RHO:
-            if exponent % 2 == 1:
-                letters.append(Letter(RHO, index))
-        else:
-            repeated = kind if exponent > 0 else -kind
-            letters.extend([Letter(repeated, index)] * abs(exponent))
+        count = exponent % 2 if kind == RHO else abs(exponent)
+        if len(letters) + count > MAX_LETTERS:
+            raise ParseError(position, token, f"word exceeds {MAX_LETTERS} letters")
+        # -RHO == RHO, so only crossings flip with a negative exponent.
+        letters.extend([Letter(kind if exponent > 0 else -kind, index)] * count)
     if strands is None:
         strands = max(2, max_index + 1)
     return BraidWord(strands, tuple(letters))
@@ -211,12 +215,3 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
                 images[k] = index
     return tuple(images)
 
-
-def concat(*parts: BraidWord) -> BraidWord:
-    """Concatenate words over the same strand count."""
-    if not parts:
-        raise ValueError("concat needs at least one word")
-    result = parts[0]
-    for part in parts[1:]:
-        result = result * part
-    return result

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from vbraid.action import (
     Coordinates,
-    act_letter,
     act_rho,
     act_sigma,
     act_sigma_inv,
@@ -14,8 +13,6 @@ from vbraid.action import (
     apply_letters,
     base_vector,
     even_sum,
-    neg_part,
-    pos_part,
 )
 from vbraid.words import (
     RHO,
@@ -35,20 +32,6 @@ def act(entries, text, strands=None):
     vector = Coordinates.from_entries(entries)
     word = parse_word(text, strands or vector.strands)
     return act_word(vector, word).entries
-
-
-class TestParts:
-    @pytest.mark.parametrize(
-        "x, positive, negative", [(-3, 0, -3), (0, 0, 0), (5, 5, 0)]
-    )
-    def test_values(self, x, positive, negative):
-        assert pos_part(x) == positive
-        assert neg_part(x) == negative
-
-    @given(ints)
-    def test_parts_sum_to_argument(self, x):
-        assert pos_part(x) + neg_part(x) == x
-        assert pos_part(x) >= 0 >= neg_part(x)
 
 
 class TestQuadActions:
@@ -128,7 +111,7 @@ class TestVectorAction:
 
     def test_letter_index_out_of_range(self):
         with pytest.raises(ValueError):
-            act_letter(base_vector(2), Letter(SIGMA, 2))
+            act_word(base_vector(2), BraidWord(2, (Letter(SIGMA, 2),)))
 
 
 class TestBaseVectorAndEvenSum:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import vbraid.cli
 from vbraid.cli import main
+from vbraid.hunt import HuntReport
 
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
 
@@ -94,6 +96,16 @@ class TestEq:
         assert code == 1
         assert "--seed" in err
 
+    def test_vbn_negative_battery_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "eq", "--group", "vbn", "--n", "3", "--w1", "s1 s2 s1", "--w2", "s2 s1 s2",
+            "--battery", "-5", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "battery" in err
+
     def test_bn_rejects_virtual_letters(self, capsys):
         code, _, err = run(
             capsys, "eq", "--group", "bn", "--n", "2", "--w1", "r1", "--w2", ""
@@ -112,6 +124,12 @@ class TestSmallCommands:
         code, out, _ = run(capsys, "reduce", "--word", "s1 S1 r2 r2")
         assert code == 0
         assert out == "\n"
+
+    def test_huge_exponent_exits_1(self, capsys):
+        code, out, err = run(capsys, "reduce", "--word", "s1^100000000000000000000")
+        assert code == 1
+        assert out == ""
+        assert "letters" in err
 
     def test_reduce_partial(self, capsys):
         code, out, _ = run(capsys, "reduce", "--n", "3", "--word", "s1 r2 r2 s2")
@@ -199,6 +217,31 @@ class TestHunt:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["config"]["word_length"] == [4, 4]
+
+    def test_kernel_candidate_exits_2_after_writing_the_report(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def one_candidate(config, workers):
+            return HuntReport(
+                config=config,
+                words_tested=config.word_count,
+                base_fixers=(),
+                kernel_candidates=("s1 S1",),
+                identity_words=(),
+                runtime_seconds=0.0,
+                seed_partition=(),
+            )
+
+        monkeypatch.setattr(vbraid.cli, "hunt", one_candidate)
+        out_path = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys,
+            "hunt", "--n", "3", "--count", "10", "--length", "4",
+            "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "1 kernel candidates" in out
+        assert json.loads(out_path.read_text())["kernel_candidates"] == ["s1 S1"]
 
 
 class TestFlagValidation:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vbraid.action import apply_letters, base_vector
-from vbraid.hunt import HuntConfig, hunt, moved_fraction, screen_word
+from vbraid.hunt import HuntConfig, hunt, moved_fraction
 from vbraid.words import BraidWord, format_word, free_reduce, parse_word
 
 BETA = "s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1"
@@ -116,24 +116,20 @@ class TestHunt:
             assert json.loads(line)["word"] == fixer.word
 
 
-class TestScreenWord:
-    def test_near_kernel_word_passes_base_but_fails_battery(self):
-        beta = parse_word(BETA, 3)
-        fixes, fraction = screen_word(
-            beta, (0, 1, 0, 1, 0, 1), 5000, 100, random.Random(2)
-        )
-        assert fixes
-        assert fraction is not None and 0 < fraction < Fraction(1, 50)
-
-    def test_moving_word_is_rejected_early(self):
-        fixes, fraction = screen_word(
-            parse_word("s1", 3), (0, 1, 0, 1, 0, 1), 10, 100, random.Random(2)
-        )
-        assert not fixes
-        assert fraction is None
-
-
 class TestMovedFraction:
+    def test_near_kernel_word_fixes_base_but_moves_some_probes(self):
+        beta = parse_word(BETA, 3)
+        base = [0, 1, 0, 1, 0, 1]
+        assert apply_letters(base, beta.letters) == base
+        fraction = moved_fraction(beta, 5000, 100, random.Random(2))
+        assert 0 < fraction < Fraction(1, 50)
+
+    def test_single_crossing_moves_the_base(self):
+        word = parse_word("s1", 3)
+        base = [0, 1, 0, 1, 0, 1]
+        assert apply_letters(base, word.letters) != base
+        assert moved_fraction(word, 10, 100, random.Random(2)) > 0
+
     def test_identity_moves_nothing(self):
         assert moved_fraction(BraidWord(3), 500, 100, random.Random(1)) == 0
 

@@ -127,6 +127,12 @@ class TestVbn:
         with pytest.raises(ValueError):
             distinguish_vbn(beta, gamma, 10, None)
 
+    def test_negative_battery_is_rejected(self):
+        w1 = parse_word("s1 s2 s1", 3)
+        w2 = parse_word("s2 s1 s2", 3)
+        with pytest.raises(ValueError, match="battery"):
+            distinguish_vbn(w1, w2, -5, random.Random(1))
+
 
 def insert_relator(word, relator_words, rng):
     relator = parse_word(rng.choice(relator_words), word.strands)

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbraid import words
 from vbraid.words import (
+    MAX_LETTERS,
     RHO,
     SIGMA,
     SIGMA_INV,
@@ -102,6 +105,27 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_word("s1^two", 2)
         assert "exponent" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text", ["s1^100000000000000000000", f"s1^-{MAX_LETTERS + 1}"]
+    )
+    def test_letter_cap_fails_before_allocating(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_word(text, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"{MAX_LETTERS} letters" in str(info.value)
+        assert peak < 2**20
+
+    def test_letter_cap_counts_the_whole_word(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_LETTERS", 5)
+        assert len(parse_word("s1^3 S2 r1 r2^2", 3)) == 5
+        with pytest.raises(ParseError) as info:
+            parse_word("s1^3 S2^3", 3)
+        assert info.value.position == 2
 
 
 class TestFormat:
