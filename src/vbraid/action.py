@@ -111,12 +111,16 @@ class Coordinates:
         return cls(len(entries) // 2, entries)
 
     @classmethod
-    def from_csv(cls, text: str) -> "Coordinates":
+    def from_csv(cls, text: str, strands: int | None = None) -> "Coordinates":
+        """Parse comma-separated entries; with ``strands`` given, the vector
+        must have exactly ``2 * strands`` entries."""
         try:
             entries = tuple(int(part) for part in text.split(","))
         except ValueError:
             raise ValueError(f"not a comma-separated integer vector: {text!r}") from None
-        return cls.from_entries(entries)
+        if strands is None:
+            return cls.from_entries(entries)
+        return cls(strands, entries)
 
     def to_csv(self) -> str:
         return ",".join(str(x) for x in self.entries)
@@ -157,11 +161,25 @@ def moved_probes(
     """The probe battery: yield each of ``count`` random probes the letters move.
 
     Probes have ``width`` entries drawn independently and uniformly from the
-    integers in [-bound, bound].  Probes are drawn lazily, so a caller that
-    stops early leaves ``rng`` just past the last probe it saw.
+    integers in [-bound, bound]: each entry is ``rng.randint(-bound, bound)``,
+    written out as CPython's ``Random._randbelow_with_getrandbits`` draw
+    (``k = span.bit_length()`` bits, redrawn while ``>= span``), so probes
+    and the rng state match the ``randint`` stream exactly.  Probes are drawn
+    lazily, so a caller that stops early leaves ``rng`` just past the last
+    probe it saw.
     """
+    if bound < 0:
+        raise ValueError(f"probe bound must be nonnegative, got {bound}")
+    span = 2 * bound + 1
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(count):
-        probe = [rng.randint(-bound, bound) for _ in range(width)]
+        probe = []
+        for _ in range(width):
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            probe.append(r - bound)
         if apply_letters(probe, letters) != probe:
             yield probe
 

@@ -38,17 +38,7 @@ def _parse_length(text: str) -> int | tuple[int, int]:
 
 
 def _vector_argument(text: str, n: int) -> Coordinates:
-    if text == "base":
-        return base_vector(n)
-    try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"not a comma-separated integer vector: {text!r}") from None
-    if len(entries) != 2 * n:
-        raise ValueError(
-            f"vector has {len(entries)} entries but {n} strands need {2 * n}"
-        )
-    return Coordinates(n, entries)
+    return base_vector(n) if text == "base" else Coordinates.from_csv(text, n)
 
 
 def _cmd_act(args) -> int:
@@ -98,7 +88,7 @@ def _cmd_hunt(args) -> int:
         seed=args.seed,
         battery_size=args.battery,
         coefficient_bound=args.bound,
-        base=None if args.base is None else tuple(Coordinates.from_csv(args.base).entries),
+        base=None if args.base is None else Coordinates.from_csv(args.base, args.n).entries,
     )
     report = hunt(config, workers=args.workers)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -147,9 +137,7 @@ def _cmd_verify_diagram(args) -> int:
 
 def _cmd_certify(args) -> int:
     word = parse_word(args.word, 2)
-    start = tuple(Coordinates.from_csv(args.start).entries)
-    if len(start) != 4:
-        raise ValueError(f"start vector needs 4 entries, got {len(start)}")
+    start = Coordinates.from_csv(args.start, 2).entries
     certificate = certify_nontrivial(word, start)  # type: ignore[arg-type]
     if certificate.violation is not None:
         print(f"VIOLATION: {certificate.violation}", file=sys.stderr)

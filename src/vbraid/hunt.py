@@ -13,16 +13,20 @@ i.e. potential nontrivial words acting trivially.  None is expected, but
 base fixers themselves are interesting near-kernel elements and are
 reported with the fraction of probes they move.
 
-Reproducibility: word k of a run is generated from the derived seed
-``seed * 2**64 + k`` and its battery probes from the same stream, so the
-outcome is a pure function of the configuration no matter how the index
-range is split across workers.
+Reproducibility: word k of a run is drawn from ``Random(seed * 2**64 + k)``
+and its battery probes from the same stream, so the outcome is a pure
+function of the configuration no matter how the index range is split
+across workers.  The stream is read as ``randint(low, high)`` for the
+length, then the ``randrange`` letter draws of ``random_reduced_word``, then
+``randint(-bound, bound)`` per probe entry; the inline ``getrandbits`` draws
+that replace these calls are pinned to them by the stream tests.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -31,15 +35,16 @@ from random import Random
 
 from .action import apply_letters, moved_probes
 from .words import (
+    MAX_LETTERS,
     RHO,
     SIGMA,
     SIGMA_INV,
     BraidWord,
     Letter,
+    _reduced_letters,
     format_word,
     free_reduce,
     parse_word,
-    random_reduced_word,
 )
 
 
@@ -48,8 +53,9 @@ class HuntConfig:
     """Parameters of one hunt run.
 
     ``word_length`` is a fixed length or an inclusive (low, high) range
-    sampled uniformly.  ``base`` overrides the start vector; by default the
-    base vector (0, 1, ..., 0, 1) for the configured strand count is used.
+    sampled uniformly, at most ``words.MAX_LETTERS``.  ``base`` overrides the
+    start vector; by default the base vector (0, 1, ..., 0, 1) for the
+    configured strand count is used.
     """
 
     strands: int
@@ -66,6 +72,8 @@ class HuntConfig:
         low, high = self.length_range()
         if low < 1 or high < low:
             raise ValueError(f"bad word length range ({low}, {high})")
+        if high > MAX_LETTERS:
+            raise ValueError(f"word length {high} exceeds {MAX_LETTERS} letters")
         if self.word_count < 0:
             raise ValueError("word count must be nonnegative")
         if self.battery_size < 1:
@@ -272,10 +280,10 @@ def _scan_range(config: HuntConfig, start: int, stop: int) -> dict[str, tuple[in
     found: dict[str, tuple[int, Fraction]] = {}
     for index in range(start, stop):
         rng = Random(_word_seed(config.seed, index))
-        length = rng.randint(low, high)
-        word = random_reduced_word(strands, length, rng)
-        if apply_letters(base, word.letters) != base:
+        letters = _reduced_letters(strands, rng.randint(low, high), rng)
+        if apply_letters(base, letters) != base:
             continue
+        word = BraidWord(strands, letters)
         text = format_word(word)
         if text not in found:
             fraction = moved_fraction(
@@ -291,10 +299,11 @@ def hunt(config: HuntConfig, workers: int = 1) -> HuntReport:
     The word index range is split into contiguous chunks across workers;
     results are merged keeping, for each distinct fixer, the measurement
     from its earliest index, so the report is identical for any worker
-    count.
+    count.  The pool has at most ``os.cpu_count()`` processes.
     """
     if workers < 1:
         raise ValueError("worker count must be positive")
+    workers = min(workers, os.cpu_count() or 1)
     started = time.perf_counter()
     count = config.word_count
     if workers == 1 or count < 2 * workers:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
@@ -100,6 +101,14 @@ class BraidWord:
         return all(letter.kind != RHO for letter in self.letters)
 
 
+def _decimal(position: int, token: str, digits: str, what: str) -> int:
+    # int() refuses more than sys.get_int_max_str_digits() digits.
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(position, token, f"{what} has too many digits") from None
+
+
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse word text into a BraidWord.
 
@@ -120,7 +129,7 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
                 raise ParseError(position, token, "exponent is not an integer")
             raise ParseError(position, token, "malformed token")
         char, index_text, exponent_text = match.groups()
-        index = int(index_text)
+        index = _decimal(position, token, index_text, "index")
         if index == 0:
             raise ParseError(position, token, "generator index must be at least 1")
         if strands is not None and index >= strands:
@@ -129,7 +138,13 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
             )
         max_index = max(max_index, index)
         kind = _CHAR_KIND[char]
-        exponent = 1 if exponent_text is None else int(exponent_text)
+        if exponent_text is None:
+            exponent = 1
+        elif kind == RHO:
+            # Only the parity matters, and the last digit has it.
+            exponent = int(exponent_text[-1])
+        else:
+            exponent = _decimal(position, token, exponent_text, "exponent")
         count = exponent % 2 if kind == RHO else abs(exponent)
         if len(letters) + count > MAX_LETTERS:
             raise ParseError(position, token, f"word exceeds {MAX_LETTERS} letters")
@@ -166,6 +181,56 @@ def inverse(word: BraidWord) -> BraidWord:
     )
 
 
+@lru_cache(maxsize=64)
+def _alphabet(strands: int, virtual: bool) -> tuple[tuple[Letter, ...], tuple[int, ...]]:
+    """The letters of ``random_reduced_word`` by alphabet id, and the id of
+    each letter's cancelling partner: sigma and its inverse swap slots, rho
+    cancels itself."""
+    per_index = 3 if virtual else 2
+    letters = []
+    partners = []
+    for position in range(strands - 1):
+        for slot in range(per_index):
+            letters.append(Letter(_KINDS[slot], position + 1))
+            partners.append(per_index * position + (1 - slot if slot < 2 else slot))
+    return tuple(letters), tuple(partners)
+
+
+def _reduced_letters(
+    strands: int, length: int, rng: Random, virtual: bool = True
+) -> tuple[Letter, ...]:
+    """The letters of ``random_reduced_word``, unchecked.
+
+    Each draw is ``rng.randrange(m)`` written out as CPython's
+    ``Random._randbelow_with_getrandbits``: ``k = m.bit_length()`` bits,
+    redrawn while ``>= m``.  Words and the rng state after each call are
+    exactly those of the ``randrange`` loop, without its call chain.
+    """
+    alphabet, partners = _alphabet(strands, virtual)
+    getrandbits = rng.getrandbits
+    total = len(alphabet)
+    bits = total.bit_length()
+    rest = total - 1  # letters that do not cancel the previous one
+    rest_bits = rest.bit_length()
+    letters: list[Letter] = []
+    append = letters.append
+    banned = -1  # alphabet id that would cancel the previous letter
+    for _ in range(length):
+        if banned < 0:
+            letter_id = getrandbits(bits)
+            while letter_id >= total:
+                letter_id = getrandbits(bits)
+        else:
+            letter_id = getrandbits(rest_bits)
+            while letter_id >= rest:
+                letter_id = getrandbits(rest_bits)
+            if letter_id >= banned:
+                letter_id += 1
+        append(alphabet[letter_id])
+        banned = partners[letter_id]
+    return tuple(letters)
+
+
 def random_reduced_word(
     strands: int, length: int, rng: Random, *, virtual: bool = True
 ) -> BraidWord:
@@ -173,30 +238,15 @@ def random_reduced_word(
 
     Each letter is uniform over the generator letters that do not cancel
     against the previous one.  With ``virtual=False`` only crossing letters
-    are used, i.e. the word lies in B_n.  Deterministic for a fixed rng state.
+    are used, i.e. the word lies in B_n.  Deterministic for a fixed rng state:
+    the letter ids are the ``rng.randrange`` draws over the alphabet (minus
+    the cancelling partner of the previous letter).
     """
     if strands < 2:
         raise ValueError(f"strand count must be at least 2, got {strands}")
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
-    per_index = 3 if virtual else 2
-    total = per_index * (strands - 1)
-    letters: list[Letter] = []
-    banned = -1  # alphabet id that would cancel the previous letter
-    for _ in range(length):
-        if banned < 0:
-            letter_id = rng.randrange(total)
-        else:
-            letter_id = rng.randrange(total - 1)
-            if letter_id >= banned:
-                letter_id += 1
-        position, slot = divmod(letter_id, per_index)
-        kind = _KINDS[slot]
-        letters.append(Letter(kind, position + 1))
-        # id of the cancelling partner: sigma and its inverse swap slots,
-        # rho cancels itself.
-        banned = per_index * position + (1 - slot if slot < 2 else slot)
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, _reduced_letters(strands, length, rng, virtual))
 
 
 def permutation(word: BraidWord) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from vbraid.action import (
     apply_letters,
     base_vector,
     even_sum,
+    moved_probes,
 )
 from vbraid.words import (
     RHO,
@@ -233,6 +234,11 @@ class TestCoordinates:
         assert vector.to_csv() == "85,49,-90,-47"
         assert Coordinates.from_csv(vector.to_csv()) == vector
 
+    def test_csv_with_strand_count(self):
+        assert Coordinates.from_csv("0,1,0,1", 2) == base_vector(2)
+        with pytest.raises(ValueError, match="entries"):
+            Coordinates.from_csv("0,1,0,1", 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Coordinates(2, (0, 1, 0))
@@ -240,3 +246,31 @@ class TestCoordinates:
             Coordinates.from_entries((1, 2, 3))
         with pytest.raises(ValueError):
             Coordinates.from_csv("1,2,x,4")
+
+
+class TestProbeStream:
+    """Probes and the rng state after them are those of the randint stream."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 100, 2**40])
+    def test_matches_randint_stream(self, bound):
+        letters = parse_word("r1", 3).letters
+        for seed in range(20):
+            rng = random.Random(seed)
+            reference = random.Random(seed)
+            probes = [
+                [reference.randint(-bound, bound) for _ in range(6)] for _ in range(30)
+            ]
+            expected = [p for p in probes if apply_letters(p, letters) != p]
+            assert list(moved_probes(letters, 6, 30, bound, rng)) == expected
+            assert rng.random() == reference.random()
+
+    def test_stopping_early_leaves_the_stream_after_that_probe(self):
+        rng = random.Random(4)
+        reference = random.Random(4)
+        first = next(moved_probes(parse_word("s1", 2).letters, 4, 10, 100, rng))
+        assert first == [reference.randint(-100, 100) for _ in range(4)]
+        assert rng.random() == reference.random()
+
+    def test_negative_bound_is_rejected(self):
+        with pytest.raises(ValueError):
+            next(moved_probes((), 4, 1, -1, random.Random(0)))

@@ -131,6 +131,25 @@ class TestSmallCommands:
         assert out == ""
         assert "letters" in err
 
+    def test_oversized_exponent_exits_1(self, capsys):
+        code, out, err = run(capsys, "reduce", "--word", "s1^" + "1" * 5000)
+        assert code == 1
+        assert out == ""
+        assert "token 1" in err
+
+    def test_oversized_index_exits_1(self, capsys):
+        code, _, err = run(
+            capsys, "act", "--n", "3", "--vector", "base", "--word", "s1 s" + "1" * 5000
+        )
+        assert code == 1
+        assert "token 2" in err
+
+    def test_negative_probe_bound_exits_1(self, capsys):
+        code, _, _ = run(
+            capsys, "moved-fraction", "--word", "s1", "--bound", "-1", "--seed", "1"
+        )
+        assert code == 1
+
     def test_reduce_partial(self, capsys):
         code, out, _ = run(capsys, "reduce", "--n", "3", "--word", "s1 r2 r2 s2")
         assert code == 0
@@ -164,6 +183,11 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--word", "r1", "--start", "0,5,0,2")
         assert code == 0
         assert "image: 0,2,0,5" in out
+
+    def test_short_start_exits_1(self, capsys):
+        code, _, err = run(capsys, "certify", "--word", "s1", "--start", "0,2,0")
+        assert code == 1
+        assert "entries" in err
 
     def test_bad_start_exits_1(self, capsys):
         code, _, err = run(capsys, "certify", "--word", "s1", "--start", "0,2,0,2")
@@ -217,6 +241,24 @@ class TestHunt:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["config"]["word_length"] == [4, 4]
+
+    def test_short_base_exits_1(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
+            "--base", "0,1,0,1", "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert "entries" in err
+
+    def test_overlong_words_exit_1(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "hunt", "--n", "3", "--count", "0", "--length", "2000000000",
+            "--seed", "1", "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert "letters" in err
 
     def test_kernel_candidate_exits_2_after_writing_the_report(
         self, capsys, tmp_path, monkeypatch

@@ -1,3 +1,8 @@
+import hashlib
+import itertools
+import json
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -5,7 +10,7 @@ import pytest
 
 from vbraid.action import apply_letters, base_vector
 from vbraid.hunt import HuntConfig, hunt, moved_fraction
-from vbraid.words import BraidWord, format_word, free_reduce, parse_word
+from vbraid.words import MAX_LETTERS, BraidWord, format_word, free_reduce, parse_word
 
 BETA = "s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1"
 
@@ -33,6 +38,8 @@ class TestConfig:
             dict(strands=3, word_length=5, word_count=1, seed=0, battery_size=0),
             dict(strands=3, word_length=5, word_count=1, seed=0, coefficient_bound=0),
             dict(strands=3, word_length=5, word_count=1, seed=0, base=(0, 1)),
+            dict(strands=3, word_length=MAX_LETTERS + 1, word_count=1, seed=0),
+            dict(strands=3, word_length=(1, 2_000_000_000), word_count=1, seed=0),
         ],
     )
     def test_validation(self, kwargs):
@@ -40,7 +47,45 @@ class TestConfig:
             HuntConfig(**kwargs)
 
 
+    def test_longest_word_length(self):
+        assert HuntConfig(3, (1, MAX_LETTERS), 1, seed=0).length_range() == (1, MAX_LETTERS)
+
+
 class TestHunt:
+    def test_report_is_pinned(self):
+        # sha256 of the report without runtime_seconds, as computed with plain
+        # randrange/randint draws
+        report = hunt(HuntConfig(3, (1, 30), 10**4, seed=2011)).as_dict()
+        del report["runtime_seconds"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "5b80f92a4d084b46161707e998ee5e7c3c774b27c5a8ffd8d6f5c3f22481c879"
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (None, [])])
+    def test_pool_is_clamped_to_cpu_count(self, monkeypatch, cpus, sizes):
+        opened = []
+
+        class RecordingPool:
+            """Stands in for multiprocessing.Pool: records its size, starts no process."""
+
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def starmap(self, func, arguments):
+                return list(itertools.starmap(func, arguments))
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        config = HuntConfig(3, (1, 10), 500, seed=8)
+        report = hunt(config, workers=64)
+        assert opened == sizes
+        assert report.base_fixers == hunt(config).base_fixers
+
     def test_empty_run(self):
         report = hunt(HuntConfig(3, (1, 10), 0, seed=5))
         assert report.words_tested == 0

@@ -120,6 +120,19 @@ class TestParse:
         assert f"{MAX_LETTERS} letters" in str(info.value)
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("s1^" + "1" * 5000, 1), ("s1 s" + "1" * 5000, 2), ("r1 S1^-" + "9" * 5000, 2)],
+    )
+    def test_oversized_number_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, 2)
+        assert info.value.position == position
+
+    def test_long_rho_exponent_keeps_its_parity(self):
+        assert parse_word("r1^" + "1" * 5000, 2) == parse_word("r1", 2)
+        assert parse_word("r1^-" + "2" * 5000, 2) == BraidWord(2)
+
     def test_letter_cap_counts_the_whole_word(self, monkeypatch):
         monkeypatch.setattr(words, "MAX_LETTERS", 5)
         assert len(parse_word("s1^3 S2 r1 r2^2", 3)) == 5
@@ -221,6 +234,41 @@ class TestRandomReducedWord:
             random_reduced_word(1, 5, random.Random(0))
         with pytest.raises(ValueError):
             random_reduced_word(2, -1, random.Random(0))
+
+
+def randrange_reduced_letters(strands, length, rng, virtual):
+    """Reference for the letter sampler: one ``rng.randrange`` per letter."""
+    per_index = 3 if virtual else 2
+    total = per_index * (strands - 1)
+    letters = []
+    banned = -1
+    for _ in range(length):
+        if banned < 0:
+            letter_id = rng.randrange(total)
+        else:
+            letter_id = rng.randrange(total - 1)
+            if letter_id >= banned:
+                letter_id += 1
+        position, slot = divmod(letter_id, per_index)
+        letters.append(Letter((SIGMA, SIGMA_INV, RHO)[slot], position + 1))
+        banned = per_index * position + (1 - slot if slot < 2 else slot)
+    return tuple(letters)
+
+
+class TestRandomStream:
+    """Words and the rng state after them are those of the randrange loop."""
+
+    @pytest.mark.parametrize("virtual", [True, False])
+    @pytest.mark.parametrize("strands", range(2, 9))
+    def test_matches_randrange_stream(self, strands, virtual):
+        for length in range(61):
+            for seed in range(5):
+                rng = random.Random(1000 * length + seed)
+                reference = random.Random(1000 * length + seed)
+                word = random_reduced_word(strands, length, rng, virtual=virtual)
+                expected = randrange_reduced_letters(strands, length, reference, virtual)
+                assert word.letters == expected
+                assert rng.random() == reference.random()
 
 
 class TestPermutation:
