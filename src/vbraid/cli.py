@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 validation error, 2 verification failure (a
 failing diagram check, a certificate violation, or a hunt that leaves a
 kernel candidate; the hunt writes its report first).
 Every randomized subcommand requires an explicit --seed.
+Output files (--out, --fixers-out, --json) are opened before the work
+starts, so an unwritable path fails at once with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
 from random import Random
 
@@ -35,6 +39,11 @@ def _parse_length(text: str) -> int | tuple[int, int]:
         low_text, high_text = text.split(":", 1)
         return (int(low_text), int(high_text))
     return int(text)
+
+
+def _output(path: str | None):
+    """An output file opened for writing, or None when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
 def _vector_argument(text: str, n: int) -> Coordinates:
@@ -90,16 +99,15 @@ def _cmd_hunt(args) -> int:
         coefficient_bound=args.bound,
         base=None if args.base is None else Coordinates.from_csv(args.base, args.n).entries,
     )
-    report = hunt(config, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
-        handle.write("\n")
-    if args.fixers_out:
-        with open(args.fixers_out, "w", encoding="utf-8") as handle:
+    with _output(args.out) as out, _output(args.fixers_out) as fixers:
+        report = hunt(config, workers=args.workers)
+        out.write(report.to_json())
+        out.write("\n")
+        if fixers is not None:
             text = report.fixers_jsonl()
-            handle.write(text)
+            fixers.write(text)
             if text:
-                handle.write("\n")
+                fixers.write("\n")
     print(
         f"tested {report.words_tested} words: {len(report.base_fixers)} distinct "
         f"base fixers, {len(report.kernel_candidates)} kernel candidates "
@@ -116,7 +124,11 @@ def _cmd_moved_fraction(args) -> int:
 
 
 def _cmd_verify_diagram(args) -> int:
-    report = verify_diagram(args.samples, Random(args.seed))
+    with _output(args.json) as handle:
+        report = verify_diagram(args.samples, Random(args.seed))
+        if handle is not None:
+            json.dump(report.as_dict(), handle, indent=2)
+            handle.write("\n")
     for check in report.arrow_checks:
         status = "ok" if check.ok else f"FAIL counterexample={check.counterexample}"
         print(f"arrow {check.arrow.describe()}: {check.samples} samples {status}")
@@ -126,12 +138,6 @@ def _cmd_verify_diagram(args) -> int:
     else:
         for box, generator in closure.missing:
             print(f"closure: MISSING {generator} arrow out of {box}")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
     return 0 if report.ok else VERIFICATION_FAILURE
 
 
@@ -223,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         print(f"vbraid {args.command}: error: {error}", file=sys.stderr)
         return VALIDATION_ERROR
 

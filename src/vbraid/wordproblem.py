@@ -7,6 +7,15 @@ vector (0, 2, 0, 1).  For three or more strands faithfulness of the action
 is an open question, so the general decider is sound but incomplete: it
 reports Distinct only with a concrete witness and otherwise answers Equal
 solely for letter-identical reduced words, else Unknown.
+
+Every comparison acts only where the two words differ.  Split them as
+x m1 z and x m2 z, with x the longest common prefix and z the longest common
+suffix after it.  Every letter acts as a bijection of Z^{2n}, so
+p.x.m1.z = p.x.m2.z exactly when p.x.m1 = p.x.m2: x is applied once and z
+only to build the witness images of a Distinct verdict.  Free reduction
+never changes the action (a cancelled pair is the identity), so the battery
+runs on the freely reduced quotient w1 w2^-1 and moves the same probes as
+the unreduced one.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from random import Random
 
-from .action import Coordinates, act_word, base_vector, moved_probes
+from .action import Coordinates, apply_letters, base_vector, moved_probes
 from .words import BraidWord, format_word, free_reduce, inverse, permutation
 
 # The probe distribution for randomized batteries: entries uniform on
@@ -49,11 +58,39 @@ class Verdict:
         return self.status is Equality.EQUAL
 
 
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """Length of the longest common prefix of two letter tuples."""
+    if a[:1] != b[:1]:
+        return 0
+    # a[:low] == b[:low] throughout; the halving slice comparisons run in C.
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[low:mid] == b[low:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 def _distinct_on(probe: Coordinates, w1: BraidWord, w2: BraidWord) -> Verdict | None:
-    left = act_word(probe, w1).entries
-    right = act_word(probe, w2).entries
+    """None when both words move ``probe`` alike, else Distinct with both images.
+
+    With w1 = x m1 z and w2 = x m2 z, the probe crosses x once; z acts as a
+    bijection, so it cannot separate equal middle images and is applied only
+    to build the witness images of the whole words.
+    """
+    a, b = w1.letters, w2.letters
+    x = _common_prefix(a, b)
+    z = _common_prefix(a[x:][::-1], b[x:][::-1])
+    shared = apply_letters(probe.entries, a[:x])
+    left = apply_letters(shared, a[x : len(a) - z])
+    right = apply_letters(shared, b[x : len(b) - z])
     if left == right:
         return None
+    suffix = a[len(a) - z :]
+    left = tuple(apply_letters(left, suffix))
+    right = tuple(apply_letters(right, suffix))
     return Verdict(
         Equality.DISTINCT,
         witness=f"vector {probe.to_csv()} is moved differently",
@@ -122,8 +159,9 @@ def distinguish_vbn(
         raise ValueError(f"strand counts differ: {w1.strands} vs {w2.strands}")
     if battery < 0:
         raise ValueError(f"battery size must be nonnegative, got {battery}")
-    r1, r2 = free_reduce(w1), free_reduce(w2)
-    if r1.letters == r2.letters:
+    # Free reduction keeps the action, so the checks below use the reduced words.
+    w1, w2 = free_reduce(w1), free_reduce(w2)
+    if w1.letters == w2.letters:
         return Verdict(Equality.EQUAL, witness="identical words after free reduction")
     if w1.strands == 2:
         return are_equal_vb2(w1, w2)
@@ -142,7 +180,7 @@ def distinguish_vbn(
     if battery > 0 and rng is None:
         raise ValueError("a seeded Random is required for the probe battery")
     # The action is a bijection: p.w1 != p.w2 exactly when w1 w2^-1 moves p.
-    quotient = (w1 * inverse(w2)).letters
+    quotient = free_reduce(w1 * inverse(w2)).letters
     probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
     if probe is not None:
         return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)

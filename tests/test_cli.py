@@ -195,6 +195,10 @@ class TestCertify:
         assert "start vector" in err
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("the work started before its output file was opened")
+
+
 class TestVerifyDiagram:
     def test_passes(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -207,6 +211,17 @@ class TestVerifyDiagram:
         assert "closure: complete" in out
         payload = json.loads(path.read_text())
         assert payload["pass"] is True
+
+    def test_unwritable_json_fails_before_the_check(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(vbraid.cli, "verify_diagram", must_not_run)
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "verify-diagram", "--samples", "10", "--seed", "6", "--json", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("vbraid verify-diagram: error: ")
+        assert "No such file or directory" in err
 
 
 class TestHunt:
@@ -284,6 +299,25 @@ class TestHunt:
         assert code == 2
         assert "1 kernel candidates" in out
         assert json.loads(out_path.read_text())["kernel_candidates"] == ["s1 S1"]
+
+
+    @pytest.mark.parametrize("flag", ["--out", "--fixers-out"])
+    def test_unwritable_output_fails_before_the_hunt(
+        self, flag, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(vbraid.cli, "hunt", must_not_run)
+        paths = {"--out": tmp_path / "r.json", "--fixers-out": tmp_path / "f.jsonl"}
+        paths[flag] = tmp_path / "missing" / "r.json"
+        code, out, err = run(
+            capsys,
+            "hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
+            "--out", str(paths["--out"]), "--fixers-out", str(paths["--fixers-out"]),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("vbraid hunt: error: ")
+        assert "No such file or directory" in err
+        assert str(paths[flag]) in err
 
 
 class TestFlagValidation:

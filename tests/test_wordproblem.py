@@ -1,23 +1,32 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from vbraid.action import apply_letters, base_vector
+from vbraid import action, wordproblem
+from vbraid.action import Coordinates, act_word, apply_letters, base_vector, moved_probes
 from vbraid.wordproblem import (
+    BATTERY_BOUND,
+    VB2_START,
     Equality,
+    Verdict,
     are_equal_bn,
     are_equal_vb2,
     distinguish_vbn,
 )
 from vbraid.words import (
     BraidWord,
+    format_word,
     free_reduce,
     inverse,
     parse_word,
+    permutation,
     random_reduced_word,
 )
 
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
+PINNED_VERDICTS = "a27d47d929c7357871a1c3160259c76e3241a65f560d1e525c3aa858fb382ae4"
 
 
 class TestBn:
@@ -208,3 +217,209 @@ class TestSoundness:
             product = word * inverse(word)
             assert are_equal_vb2(product, BraidWord(2)).status is Equality.EQUAL
             assert free_reduce(product).letters == ()
+
+
+# ---------------------------------------------------------------------------
+# Acting on the differing part only must give the verdicts of acting on the
+# whole words.  The reference below acts on both full words for every
+# comparison and runs the battery on the unreduced w1 * inverse(w2).
+
+BETA = parse_word("s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1", 3)
+BETA_CUBED = BETA * BETA * BETA
+CASE_BATTERY = 200
+
+
+def whole_word_distinct_on(probe, w1, w2):
+    left = act_word(probe, w1).entries
+    right = act_word(probe, w2).entries
+    if left == right:
+        return None
+    return Verdict(
+        Equality.DISTINCT,
+        witness=f"vector {probe.to_csv()} is moved differently",
+        probe=probe.entries,
+        images=(left, right),
+    )
+
+
+def whole_word_decision(group, w1, w2, battery, rng):
+    if group == "vbn" and free_reduce(w1).letters == free_reduce(w2).letters:
+        return Verdict(Equality.EQUAL, witness="identical words after free reduction")
+    if group == "vbn" and w1.strands > 2:
+        p1, p2 = permutation(w1), permutation(w2)
+        if p1 != p2:
+            return Verdict(
+                Equality.DISTINCT, witness="strand permutations differ", images=(p1, p2)
+            )
+        verdict = whole_word_distinct_on(base_vector(w1.strands), w1, w2)
+        if verdict is not None:
+            return verdict
+        quotient = (w1 * inverse(w2)).letters
+        probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
+        if probe is not None:
+            return whole_word_distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
+        return Verdict(
+            Equality.UNKNOWN,
+            witness=f"agree on the strand permutation, the base vector and "
+            f"{battery} random probes; equality is undecided for "
+            f"{w1.strands} strands",
+        )
+    if group == "bn":
+        probe = base_vector(w1.strands)
+        witness = (
+            f"equal image of the base vector {probe.to_csv()}, "
+            "which separates distinct braids"
+        )
+    else:
+        probe = Coordinates(2, VB2_START)
+        witness = (
+            f"equal image of {probe.to_csv()}, on which the two-strand "
+            "action is faithful"
+        )
+    verdict = whole_word_distinct_on(probe, w1, w2)
+    return Verdict(Equality.EQUAL, witness=witness) if verdict is None else verdict
+
+
+def library_decision(group, w1, w2, battery, rng):
+    if group == "bn":
+        return are_equal_bn(w1, w2)
+    if group == "vb2":
+        return are_equal_vb2(w1, w2)
+    return distinguish_vbn(w1, w2, battery, rng)
+
+
+def invert_letter(word, position):
+    letters = list(word.letters)
+    letters[position] = letters[position].inverse()
+    return BraidWord(word.strands, tuple(letters))
+
+
+def decision_cases():
+    """A fixed batch of (label, group, w1, w2), the same on every run."""
+    rng = random.Random(4011)
+    cases = []
+    for n in range(2, 7):
+        virtual, classical = virtual_relators(n), classical_relators(n)
+        for _ in range(4):
+            word = random_reduced_word(n, rng.randint(0, 20), rng)
+            cases.append(("relator", "vbn", word, insert_relator(word, virtual, rng)))
+            word = random_reduced_word(n, rng.randint(0, 20), rng, virtual=False)
+            cases.append(("relator", "bn", insert_relator(word, classical, rng), word))
+    for n in (2, 3, 4):
+        for virtual in (False, True):
+            word = random_reduced_word(n, 15, rng, virtual=virtual)
+            for position in (0, len(word) // 2, len(word) - 1):
+                group = "vbn" if virtual else "bn"
+                cases.append(("inverted", group, word, invert_letter(word, position)))
+    for _ in range(6):
+        word = random_reduced_word(3, rng.randint(0, 25), rng)
+        cases.append(("beta^3 w", "vbn", BETA_CUBED * word, word))
+        cases.append(("w beta^3", "vbn", word, word * BETA_CUBED))
+    for n, group in ((2, "vb2"), (3, "vbn"), (4, "vbn"), (3, "bn"), (5, "bn")):
+        for _ in range(4):
+            virtual = group != "bn"
+            w1 = random_reduced_word(n, rng.randint(0, 15), rng, virtual=virtual)
+            w2 = random_reduced_word(n, rng.randint(0, 15), rng, virtual=virtual)
+            cases.append(("independent", group, w1, w2))
+    for n, group in ((2, "vb2"), (3, "vbn"), (4, "bn")):
+        word = random_reduced_word(n, 12, rng, virtual=group != "bn")
+        empty = BraidWord(n)
+        cases += [
+            ("identical", group, word, word),
+            ("empty", group, word, empty),
+            ("empty", group, empty, word),
+            ("both empty", group, empty, empty),
+            ("prefix", group, BraidWord(n, word.letters[:5]), word),
+            ("suffix", group, word, BraidWord(n, word.letters[5:])),
+            ("w vs ww", group, word, word * word),
+            ("ww vs w", group, word * word, word),
+        ]
+    return cases
+
+
+def verdict_record(verdict, rng):
+    return [
+        verdict.status.value,
+        verdict.witness,
+        None if verdict.probe is None else list(verdict.probe),
+        None if verdict.images is None else [list(side) for side in verdict.images],
+        rng.random(),
+    ]
+
+
+def decision_records(decide):
+    records = []
+    for index, (_, group, w1, w2) in enumerate(decision_cases()):
+        rng = random.Random(9000 + index)
+        records.append(verdict_record(decide(group, w1, w2, CASE_BATTERY, rng), rng))
+    return records
+
+
+class TestDifferingPart:
+    def test_verdicts_equal_the_whole_word_reference(self):
+        cases = decision_cases()
+        actual = decision_records(library_decision)
+        expected = decision_records(whole_word_decision)
+        for (label, group, w1, w2), got, want in zip(cases, actual, expected):
+            assert got == want, (label, group, format_word(w1), format_word(w2))
+
+    def test_batch_covers_every_verdict(self):
+        statuses = {record[0] for record in decision_records(library_decision)}
+        assert statuses == {"equal", "distinct", "unknown"}
+
+    def test_verdict_batch_is_pinned(self):
+        # Computed with the whole-word deciders, before they acted on the
+        # differing part only.
+        text = json.dumps(decision_records(library_decision), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_VERDICTS
+
+
+class LetterCounter:
+    """Stands in for apply_letters and records how many letters each call acts on."""
+
+    def __init__(self, apply):
+        self.apply = apply
+        self.calls = []
+
+    def __call__(self, entries, letters):
+        letters = tuple(letters)
+        self.calls.append(len(letters))
+        return self.apply(entries, letters)
+
+
+class TestWorkDone:
+    @pytest.mark.parametrize("cut", [0, 1, 57, 100, 199, 200])
+    def test_bn_acts_up_to_the_inserted_relator(self, cut, monkeypatch):
+        rng = random.Random(cut)
+        word = random_reduced_word(4, 200, rng, virtual=False)
+        checked = 0
+        for text in classical_relators(4):
+            relator = parse_word(text, 4).letters
+            # The words must first differ at the cut: a relator that starts
+            # with the word's letter there is an insertion at a later cut.
+            if word.letters[cut : cut + 1] == relator[:1]:
+                continue
+            other = BraidWord(4, word.letters[:cut] + relator + word.letters[cut:])
+            counter = LetterCounter(wordproblem.apply_letters)
+            monkeypatch.setattr(wordproblem, "apply_letters", counter)
+            assert are_equal_bn(word, other).status is Equality.EQUAL
+            assert are_equal_bn(other, word).status is Equality.EQUAL
+            monkeypatch.undo()
+            assert sum(counter.calls) <= 2 * (cut + len(relator))
+            checked += 1
+        assert checked >= 6
+
+    def test_battery_acts_on_the_reduced_quotient(self, monkeypatch):
+        limit = len(free_reduce(BETA_CUBED))
+        rng = random.Random(3)
+        for index in range(6):
+            word = random_reduced_word(3, rng.randint(10, 30), rng)
+            counter = LetterCounter(action.apply_letters)
+            monkeypatch.setattr(action, "apply_letters", counter)
+            verdict = distinguish_vbn(BETA_CUBED * word, word, 1000, random.Random(index))
+            monkeypatch.undo()
+            # beta^3 fixes the base vector and the strand permutation, so
+            # only the battery can tell the words apart; it rarely does.
+            assert verdict.status is not Equality.EQUAL
+            assert counter.calls and max(counter.calls) <= limit
