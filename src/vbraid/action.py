@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .words import RHO, SIGMA, SIGMA_INV, BraidWord, Letter
+from .words import RHO, SIGMA, SIGMA_INV, BraidWord, Letter, check_strands
 
 Quad = tuple[int, int, int, int]
 
@@ -93,8 +93,7 @@ class Coordinates:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
+        check_strands(self.strands)
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != 2 * self.strands:
@@ -128,6 +127,7 @@ class Coordinates:
 
 def base_vector(strands: int) -> Coordinates:
     """The distinguished start vector (0, 1, 0, 1, ..., 0, 1)."""
+    check_strands(strands)  # before the entries are allocated
     return Coordinates(strands, (0, 1) * strands)
 
 

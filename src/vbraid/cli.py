@@ -46,12 +46,9 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
-def _vector_argument(text: str, n: int) -> Coordinates:
-    return base_vector(n) if text == "base" else Coordinates.from_csv(text, n)
-
-
 def _cmd_act(args) -> int:
-    vector = _vector_argument(args.vector, args.n)
+    text, n = args.vector, args.n
+    vector = base_vector(n) if text == "base" else Coordinates.from_csv(text, n)
     word = parse_word(args.word, args.n)
     print(act_word(vector, word).to_csv())
     return 0

@@ -29,8 +29,6 @@ from typing import Callable
 from .action import Quad, act_quad
 from .words import RHO, SIGMA, SIGMA_INV, BraidWord, free_reduce
 
-SYMBOLS = ("0", "+", "-", "+0", "-0")
-
 _PREDICATES: dict[str, Callable[[int], bool]] = {
     "0": lambda x: x == 0,
     "+": lambda x: x > 0,
@@ -55,12 +53,8 @@ def symbol_matches(symbol: str, x: int) -> bool:
 def pattern_matches(pattern: SignPattern, quad: Quad) -> bool:
     a, b, c, d = quad
     s1, s2, s3, s4 = pattern
-    return (
-        _PREDICATES[s1](a)
-        and _PREDICATES[s2](b)
-        and _PREDICATES[s3](c)
-        and _PREDICATES[s4](d)
-    )
+    p = _PREDICATES
+    return p[s1](a) and p[s2](b) and p[s3](c) and p[s4](d)
 
 
 @dataclass(frozen=True)
@@ -173,13 +167,11 @@ def l1_norm(quad: Quad) -> int:
     return abs(a) + abs(b) + abs(c) + abs(d)
 
 
-def sample_matching(
-    pattern: SignPattern, rng: Random, magnitude: int = 10**6
-) -> Quad:
+def sample_matching(pattern: SignPattern, rng: Random) -> Quad:
     """Draw a quadruple matching the pattern.
 
     Magnitudes favour the boundary where the piecewise formulas switch:
-    value 1 with probability 1/4, otherwise uniform in [1, magnitude]; the
+    value 1 with probability 1/4, otherwise uniform in [1, 10^6]; the
     half-line symbols '+0' and '-0' produce their boundary zero with
     probability 1/4.
     """
@@ -189,40 +181,54 @@ def sample_matching(
             return 0
         if symbol in ("+0", "-0") and rng.random() < 0.25:
             return 0
-        size = 1 if rng.random() < 0.25 else rng.randint(1, magnitude)
+        size = 1 if rng.random() < 0.25 else rng.randint(1, 10**6)
         return size if symbol in ("+", "+0") else -size
 
     s1, s2, s3, s4 = pattern
     return (draw(s1), draw(s2), draw(s3), draw(s4))
 
 
+# The four laws every step along an arrow obeys, in the order of the flags
+# of ``_broken_laws`` and of the per-law counts in ``ArrowCheck.as_dict``.
+_LAWS = ("closed form", "target box", "norm", "b + d")
+_LAW_KEYS = (
+    "closed_form_mismatches",
+    "target_escapes",
+    "norm_violations",
+    "pair_sum_violations",
+)
+
+
+def _broken_laws(
+    arrow: Arrow, quad: Quad, image: Quad, before: int, after: int
+) -> tuple[bool, bool, bool, bool]:
+    """Flag each law the step ``quad -> image`` along ``arrow`` breaks: the
+    closed form, the target box, the norm law (``after`` above ``before``
+    for crossings, equal to it for virtual steps) and b + d conservation."""
+    return (
+        image != arrow.closed_form(*quad),
+        not BOX_BY_NAME[arrow.target].matches(image),
+        after != before if arrow.generator == RHO else after <= before,
+        image[1] + image[3] != quad[1] + quad[3],
+    )
+
+
 @dataclass(frozen=True)
 class ArrowCheck:
     """Result of sampling one arrow.
 
-    Counts the samples violating each of: closed form agreeing with the
-    general action, image landing in the target pattern, the norm law
-    (strict increase for crossings, preservation for virtual steps) and
-    conservation of b + d.
+    ``violations`` counts the samples breaking each law of ``_broken_laws``;
+    ``counterexample`` is the first sample that broke any.
     """
 
     arrow: Arrow
     samples: int
-    closed_form_mismatches: int = 0
-    target_escapes: int = 0
-    norm_violations: int = 0
-    pair_sum_violations: int = 0
+    violations: tuple[int, int, int, int] = (0, 0, 0, 0)
     counterexample: Quad | None = None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.closed_form_mismatches
-            == self.target_escapes
-            == self.norm_violations
-            == self.pair_sum_violations
-            == 0
-        )
+        return not any(self.violations)
 
     def as_dict(self) -> dict:
         return {
@@ -232,10 +238,7 @@ class ArrowCheck:
             "target": self.arrow.target,
             "samples": self.samples,
             "pass": self.ok,
-            "closed_form_mismatches": self.closed_form_mismatches,
-            "target_escapes": self.target_escapes,
-            "norm_violations": self.norm_violations,
-            "pair_sum_violations": self.pair_sum_violations,
+            **dict(zip(_LAW_KEYS, self.violations)),
             "counterexample": None
             if self.counterexample is None
             else list(self.counterexample),
@@ -247,34 +250,17 @@ def verify_arrow(arrow: Arrow, samples: int, rng: Random) -> ArrowCheck:
     if samples < 1:
         raise ValueError("at least one sample is required")
     source = BOX_BY_NAME[arrow.source].pattern
-    target = BOX_BY_NAME[arrow.target].pattern
-    mismatches = escapes = norm_bad = sum_bad = 0
+    violations = (0, 0, 0, 0)
     counterexample: Quad | None = None
     for _ in range(samples):
         quad = sample_matching(source, rng)
         image = act_quad(arrow.generator, quad)
-        bad = False
-        if image != arrow.closed_form(*quad):
-            mismatches += 1
-            bad = True
-        if not pattern_matches(target, image):
-            escapes += 1
-            bad = True
-        if arrow.generator == RHO:
-            if l1_norm(image) != l1_norm(quad):
-                norm_bad += 1
-                bad = True
-        elif l1_norm(image) <= l1_norm(quad):
-            norm_bad += 1
-            bad = True
-        if image[1] + image[3] != quad[1] + quad[3]:
-            sum_bad += 1
-            bad = True
-        if bad and counterexample is None:
-            counterexample = quad
-    return ArrowCheck(
-        arrow, samples, mismatches, escapes, norm_bad, sum_bad, counterexample
-    )
+        broken = _broken_laws(arrow, quad, image, l1_norm(quad), l1_norm(image))
+        if True in broken:
+            violations = tuple(n + flag for n, flag in zip(violations, broken))
+            if counterexample is None:
+                counterexample = quad
+    return ArrowCheck(arrow, samples, violations, counterexample)
 
 
 @dataclass(frozen=True)
@@ -341,8 +327,8 @@ class Certificate:
 
     ``boxes`` is the traced path (start box first), ``norms`` the L1 norm
     after each step (start norm first).  ``violation`` is None unless the
-    trace ever left the diagram or broke a norm law, which would contradict
-    the faithfulness theorem and must never happen.
+    trace ever left the diagram or broke a law of its arrow, which would
+    contradict the faithfulness theorem and must never happen.
     """
 
     word: BraidWord
@@ -389,26 +375,14 @@ def certify_nontrivial(word: BraidWord, start: Quad = (0, 2, 0, 1)) -> Certifica
     for step, (kind, _) in enumerate(reduced.letters, start=1):
         arrow = _ARROW_FROM.get((box, kind))
         if arrow is None:
-            violation = (
-                f"step {step}: no {GENERATOR_NAMES[kind]} arrow out of {box}"
-            )
+            violation = f"step {step}: no {GENERATOR_NAMES[kind]} arrow out of {box}"
             break
         image = act_quad(kind, current)
-        if image != arrow.closed_form(*current):
-            violation = f"step {step}: closed form of arrow {arrow.label} disagrees"
-            break
-        if not BOX_BY_NAME[arrow.target].matches(image):
-            violation = (
-                f"step {step}: image {image} left the target region {arrow.target}"
-            )
-            break
         norm = l1_norm(image)
-        if kind == RHO:
-            if norm != norms[-1]:
-                violation = f"step {step}: virtual step changed the norm"
-                break
-        elif norm <= norms[-1]:
-            violation = f"step {step}: crossing step did not increase the norm"
+        broken = _broken_laws(arrow, current, image, norms[-1], norm)
+        if True in broken:
+            law = _LAWS[broken.index(True)]
+            violation = f"step {step}: arrow {arrow.describe()} breaks the {law} law"
             break
         box = arrow.target
         boxes.append(box)

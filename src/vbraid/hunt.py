@@ -42,10 +42,14 @@ from .words import (
     BraidWord,
     Letter,
     _reduced_letters,
+    check_strands,
     format_word,
     free_reduce,
     parse_word,
 )
+
+# Node budget of ``provably_trivial``: the distinct words it visits.
+PROVER_NODES = 50000
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,7 @@ class HuntConfig:
     base: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
+        check_strands(self.strands)
         low, high = self.length_range()
         if low < 1 or high < low:
             raise ValueError(f"bad word length range ({low}, {high})")
@@ -130,12 +133,12 @@ class Fixer:
 class HuntReport:
     """Deterministic outcome of a hunt, plus wall-clock runtime.
 
-    ``seed_partition`` documents how the seed space is split: per word
-    index, never per worker, so the report content does not depend on the
-    worker count.  Base fixers that also fixed the entire battery end up
-    either in ``identity_words`` (proven equal to the identity element by
-    relation rewriting) or in ``kernel_candidates``; any entry of the
-    latter would be a potential nontrivial word acting trivially.
+    ``as_dict`` records the seed partition: per word index, never per
+    worker, so the report content does not depend on the worker count.
+    Base fixers that also fixed the entire battery end up either in
+    ``identity_words`` (proven equal to the identity element by relation
+    rewriting) or in ``kernel_candidates``; any entry of the latter would be
+    a potential nontrivial word acting trivially.
     """
 
     config: HuntConfig
@@ -144,7 +147,6 @@ class HuntReport:
     kernel_candidates: tuple[str, ...]
     identity_words: tuple[str, ...]
     runtime_seconds: float
-    seed_partition: tuple[tuple[str, str], ...]
 
     def as_dict(self) -> dict:
         return {
@@ -154,7 +156,11 @@ class HuntReport:
             "kernel_candidates": list(self.kernel_candidates),
             "identity_words": list(self.identity_words),
             "runtime_seconds": self.runtime_seconds,
-            "seed_partition": {key: value for key, value in self.seed_partition},
+            "seed_partition": {
+                "scheme": "per word index",
+                "word_seed": "seed * 2**64 + index",
+                "indices": f"0..{self.config.word_count}",
+            },
         }
 
     def to_json(self) -> str:
@@ -162,10 +168,6 @@ class HuntReport:
 
     def fixers_jsonl(self) -> str:
         return "\n".join(json.dumps(fixer.as_dict()) for fixer in self.base_fixers)
-
-
-def _word_seed(seed: int, index: int) -> int:
-    return seed * 2**64 + index
 
 
 def _inverted(side: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -210,14 +212,13 @@ def relation_rules(strands: int) -> dict[tuple[Letter, ...], tuple[tuple[Letter,
 def provably_trivial(
     word: BraidWord,
     rules: dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]] | None = None,
-    max_nodes: int = 50000,
 ) -> bool:
     """True when a rewriting path to the empty word is found.
 
     Sound but incomplete: a True answer certifies that the word is the
-    identity element; False only means no certificate was found within the
-    node budget.  The search applies free reduction and the non-growing
-    relation rules breadth first.
+    identity element; False only means no certificate was found within
+    ``PROVER_NODES`` visited words.  The search applies free reduction and
+    the non-growing relation rules breadth first.
     """
     if rules is None:
         rules = relation_rules(word.strands)
@@ -227,7 +228,7 @@ def provably_trivial(
         return True
     seen = {start}
     queue: deque[tuple[Letter, ...]] = deque([start])
-    while queue and len(seen) < max_nodes:
+    while queue and len(seen) < PROVER_NODES:
         current = queue.popleft()
         for width in widths:
             for position in range(len(current) - width + 1):
@@ -244,14 +245,6 @@ def provably_trivial(
                         seen.add(candidate)
                         queue.append(candidate)
     return False
-
-
-def _seed_partition(config: HuntConfig) -> tuple[tuple[str, str], ...]:
-    return (
-        ("scheme", "per word index"),
-        ("word_seed", "seed * 2**64 + index"),
-        ("indices", f"0..{config.word_count}"),
-    )
 
 
 def moved_fraction(
@@ -279,7 +272,7 @@ def _scan_range(config: HuntConfig, start: int, stop: int) -> dict[str, tuple[in
     strands = config.strands
     found: dict[str, tuple[int, Fraction]] = {}
     for index in range(start, stop):
-        rng = Random(_word_seed(config.seed, index))
+        rng = Random(config.seed * 2**64 + index)
         letters = _reduced_letters(strands, rng.randint(low, high), rng)
         if apply_letters(base, letters) != base:
             continue
@@ -346,5 +339,4 @@ def hunt(config: HuntConfig, workers: int = 1) -> HuntReport:
         kernel_candidates=tuple(candidates),
         identity_words=tuple(identities),
         runtime_seconds=time.perf_counter() - started,
-        seed_partition=_seed_partition(config),
     )

@@ -99,6 +99,13 @@ def _distinct_on(probe: Coordinates, w1: BraidWord, w2: BraidWord) -> Verdict | 
     )
 
 
+def _decide(probe: Coordinates, w1: BraidWord, w2: BraidWord, why: str) -> Verdict:
+    """Distinct with both images when the words move ``probe`` apart, else
+    Equal with witness ``why``; for callers whose probe separates the group."""
+    verdict = _distinct_on(probe, w1, w2)
+    return Verdict(Equality.EQUAL, witness=why) if verdict is None else verdict
+
+
 def are_equal_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
     """Decide equality in the braid group B_n; never Unknown.
 
@@ -114,14 +121,8 @@ def are_equal_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
                 "B_n equality is defined for crossing letters only"
             )
     probe = base_vector(w1.strands)
-    verdict = _distinct_on(probe, w1, w2)
-    if verdict is not None:
-        return verdict
-    return Verdict(
-        Equality.EQUAL,
-        witness=f"equal image of the base vector {probe.to_csv()}, "
-        "which separates distinct braids",
-    )
+    why = f"equal image of the base vector {probe.to_csv()}, which separates distinct braids"
+    return _decide(probe, w1, w2, why)
 
 
 def are_equal_vb2(w1: BraidWord, w2: BraidWord) -> Verdict:
@@ -133,14 +134,8 @@ def are_equal_vb2(w1: BraidWord, w2: BraidWord) -> Verdict:
     if w1.strands != 2 or w2.strands != 2:
         raise ValueError("the two-strand decider needs words on exactly 2 strands")
     probe = Coordinates(2, VB2_START)
-    verdict = _distinct_on(probe, w1, w2)
-    if verdict is not None:
-        return verdict
-    return Verdict(
-        Equality.EQUAL,
-        witness=f"equal image of {probe.to_csv()}, on which the two-strand "
-        "action is faithful",
-    )
+    why = f"equal image of {probe.to_csv()}, on which the two-strand action is faithful"
+    return _decide(probe, w1, w2, why)
 
 
 def distinguish_vbn(

@@ -30,6 +30,10 @@ _CHAR_KIND = {"s": SIGMA, "S": SIGMA_INV, "r": RHO}
 # expand, so no word text can make the parser allocate without limit.
 MAX_LETTERS = 10**6
 
+# Upper bound on the strand count of a word, a vector or a hunt; vectors and
+# permutations take memory linear in it.
+MAX_STRANDS = 10**4
+
 _TOKEN_RE = re.compile(r"([sSr])([0-9]+)(?:\^(-?[0-9]+))?\Z")
 _BAD_EXPONENT_RE = re.compile(r"[sSr][0-9]+\^.*\Z")
 
@@ -50,6 +54,14 @@ def cancels(first: Letter, second: Letter) -> bool:
     return first.index == second.index and first.kind == -second.kind
 
 
+def check_strands(strands: int) -> None:
+    """Reject a strand count outside [2, MAX_STRANDS] with a ValueError."""
+    if strands < 2:
+        raise ValueError(f"strand count must be at least 2, got {strands}")
+    if strands > MAX_STRANDS:
+        raise ValueError(f"strand count must be at most {MAX_STRANDS}, got {strands}")
+
+
 class ParseError(ValueError):
     """Raised for malformed word text; carries the 1-based token position."""
 
@@ -68,8 +80,7 @@ class BraidWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
+        check_strands(self.strands)
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
@@ -116,10 +127,11 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     the largest generator index (minimum 2).  Exponents expand in place:
     's1^3' gives three copies of sigma_1, negative exponents invert, and a
     rho exponent only matters mod 2.  A word longer than ``MAX_LETTERS``
-    letters is a ParseError.
+    letters, or an index that needs more than ``MAX_STRANDS`` strands, is a
+    ParseError.
     """
-    if strands is not None and strands < 2:
-        raise ValueError(f"strand count must be at least 2, got {strands}")
+    limit = MAX_STRANDS if strands is None else strands
+    check_strands(limit)
     letters: list[Letter] = []
     max_index = 0
     for position, token in enumerate(text.split(), start=1):
@@ -132,9 +144,9 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         index = _decimal(position, token, index_text, "index")
         if index == 0:
             raise ParseError(position, token, "generator index must be at least 1")
-        if strands is not None and index >= strands:
+        if index >= limit:
             raise ParseError(
-                position, token, f"index {index} out of range for {strands} strands"
+                position, token, f"index {index} out of range for {limit} strands"
             )
         max_index = max(max_index, index)
         kind = _CHAR_KIND[char]
@@ -242,8 +254,7 @@ def random_reduced_word(
     the letter ids are the ``rng.randrange`` draws over the alphabet (minus
     the cancelling partner of the previous letter).
     """
-    if strands < 2:
-        raise ValueError(f"strand count must be at least 2, got {strands}")
+    check_strands(strands)
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     return BraidWord(strands, _reduced_letters(strands, length, rng, virtual))

@@ -16,6 +16,7 @@ from vbraid.action import (
     moved_probes,
 )
 from vbraid.words import (
+    MAX_STRANDS,
     RHO,
     SIGMA,
     SIGMA_INV,
@@ -238,6 +239,20 @@ class TestCoordinates:
         assert Coordinates.from_csv("0,1,0,1", 2) == base_vector(2)
         with pytest.raises(ValueError, match="entries"):
             Coordinates.from_csv("0,1,0,1", 3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: base_vector(300_000_000),
+            lambda: Coordinates.from_csv("0,1,0,1", 300_000_000),
+            lambda: Coordinates(MAX_STRANDS + 1, (0, 1) * (MAX_STRANDS + 1)),
+        ],
+        ids=["base_vector", "from_csv", "constructor"],
+    )
+    def test_strand_cap(self, make, peak_traced_bytes):
+        with pytest.raises(ValueError, match=f"at most {MAX_STRANDS}"):
+            make()
+        assert peak_traced_bytes() < 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):

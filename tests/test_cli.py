@@ -3,8 +3,10 @@ import json
 import pytest
 
 import vbraid.cli
+from vbraid import diagram
 from vbraid.cli import main
 from vbraid.hunt import HuntReport
+from vbraid.words import MAX_STRANDS, SIGMA
 
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
 
@@ -194,6 +196,13 @@ class TestCertify:
         assert code == 1
         assert "start vector" in err
 
+    def test_violation_exits_2(self, capsys, monkeypatch):
+        monkeypatch.delitem(diagram._ARROW_FROM, ("B1", SIGMA))
+        code, out, err = run(capsys, "certify", "--word", "r1 s1")
+        assert code == 2
+        assert out == ""
+        assert err == "VIOLATION: step 2: no sigma arrow out of B1\n"
+
 
 def must_not_run(*args, **kwargs):
     raise AssertionError("the work started before its output file was opened")
@@ -286,7 +295,6 @@ class TestHunt:
                 kernel_candidates=("s1 S1",),
                 identity_words=(),
                 runtime_seconds=0.0,
-                seed_partition=(),
             )
 
         monkeypatch.setattr(vbraid.cli, "hunt", one_candidate)
@@ -318,6 +326,30 @@ class TestHunt:
         assert err.startswith("vbraid hunt: error: ")
         assert "No such file or directory" in err
         assert str(paths[flag]) in err
+
+
+class TestStrandCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perm", "--word", "s300000000"],
+            ["act", "--n", "300000000", "--vector", "base", "--word", "s1"],
+            ["act", "--n", "300000000", "--vector", "0,1,0,1", "--word", "s1"],
+            ["hunt", "--n", "300000000", "--count", "1", "--length", "4", "--seed", "1"],
+        ],
+        ids=["perm", "act-base", "act-csv", "hunt"],
+    )
+    def test_huge_strand_count_exits_1(self, argv, capsys, tmp_path, peak_traced_bytes):
+        out_path = tmp_path / "r.json"
+        if argv[0] == "hunt":
+            argv = argv + ["--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"vbraid {argv[0]}: error: ")
+        assert str(MAX_STRANDS) in err
+        assert not out_path.exists()
+        assert peak_traced_bytes() < 2**20
 
 
 class TestFlagValidation:

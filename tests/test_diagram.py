@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbraid import diagram
 from vbraid.action import act_quad, act_sigma, act_sigma_inv
 from vbraid.diagram import (
     BOX_BY_NAME,
@@ -24,6 +28,15 @@ from vbraid.words import RHO, SIGMA, SIGMA_INV, BraidWord, parse_word, random_re
 
 ints = st.integers(-(10**6), 10**6)
 quads = st.tuples(ints, ints, ints, ints)
+
+# sha256 pins of deterministic diagram outputs, fixed before the law checks
+# were folded into one routine.
+VERIFY_300_17_SHA256 = "6d532292e693d2226c665ba60dc51456586d0b5b3d35593f3c302cbafb91c4f8"
+CERTIFY_2000_31_SHA256 = "a30649218a7d91f6909be1b47e92be03c8352a2a255f2ffa06c44564ea5cb2b1"
+
+
+def sha256_json(payload):
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 def arrow(label):
@@ -186,10 +199,100 @@ class TestVerifyDiagram:
         assert payload["pass"] is True
         assert len(payload["arrows"]) == 19
         assert payload["closure"]["pass"] is True
+        assert sha256_json(payload) == VERIFY_300_17_SHA256
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):
             verify_arrow(arrow_table()[0], 0, random.Random(0))
+
+
+def forge(monkeypatch, label, image=None, **changes):
+    """Arrow ``label`` with its fields changed.  With ``image``, that map is
+    both the forged arrow's closed form and the action the diagram sees for
+    the arrow's generator on its source box."""
+    forged = dataclasses.replace(arrow(label), **changes)
+    if image is not None:
+        forged = dataclasses.replace(forged, closed_form=image)
+        source = BOX_BY_NAME[forged.source]
+
+        def act(kind, quad):
+            if kind == forged.generator and source.matches(quad):
+                return image(*quad)
+            return act_quad(kind, quad)
+
+        monkeypatch.setattr(diagram, "act_quad", act)
+    monkeypatch.setitem(diagram._ARROW_FROM, (forged.source, forged.generator), forged)
+    return forged
+
+
+def shifted_d(a, b, c, d):
+    """Arrow 2's closed form (b, 0, 0, b + d) with 1 added to d."""
+    return (b, 0, 0, b + d + 1)
+
+
+# One forged arrow per law: (law, arrow label, forged fields, word whose last
+# step takes the arrow).  Each breaks exactly that law on every sample.
+BROKEN = [
+    ("closed form", "2", dict(closed_form=shifted_d), "r1 s1"),
+    ("target box", "2", dict(target="B3"), "r1 s1"),
+    ("norm", "9", dict(image=lambda a, b, c, d: (a, b, c, d)), "S1 S1 S1"),
+    ("b + d", "2", dict(image=shifted_d), "r1 s1"),
+]
+LAW_IDS = ["closed-form", "target-box", "norm", "pair-sum"]
+
+
+class TestViolations:
+    @pytest.mark.parametrize("law, label, changes, word", BROKEN, ids=LAW_IDS)
+    def test_verify_arrow_counts_each_law(self, monkeypatch, law, label, changes, word):
+        forged = forge(monkeypatch, label, **changes)
+        check = verify_arrow(forged, 40, random.Random(5))
+        flags = [name == law for name in ("closed form", "target box", "norm", "b + d")]
+        assert check.violations == tuple(40 * flag for flag in flags)
+        assert not check.ok
+        source = BOX_BY_NAME[forged.source].pattern
+        assert check.counterexample == sample_matching(source, random.Random(5))
+        payload = check.as_dict()
+        assert payload["pass"] is False
+        assert list(payload)[6:10] == [
+            "closed_form_mismatches",
+            "target_escapes",
+            "norm_violations",
+            "pair_sum_violations",
+        ]
+
+    def test_verify_arrow_counts_only_breaking_samples(self, monkeypatch):
+        # The closed form is off only where b == 1, about one sample in four.
+        forged = forge(
+            monkeypatch, "2", closed_form=lambda a, b, c, d: (b, 0, 0, b + d + (b == 1))
+        )
+        check = verify_arrow(forged, 200, random.Random(8))
+        rng = random.Random(8)
+        samples = [sample_matching(BOX_BY_NAME["B1"].pattern, rng) for _ in range(200)]
+        breaking = [quad for quad in samples if quad[1] == 1]
+        assert 0 < len(breaking) < 200
+        assert check.violations == (len(breaking), 0, 0, 0)
+        assert check.counterexample == breaking[0]
+
+    @pytest.mark.parametrize("law, label, changes, word", BROKEN, ids=LAW_IDS)
+    def test_certificate_names_step_arrow_and_law(
+        self, monkeypatch, law, label, changes, word
+    ):
+        forged = forge(monkeypatch, label, **changes)
+        cert = certify_nontrivial(parse_word(word, 2))
+        steps = len(word.split())
+        assert cert.violation == (
+            f"step {steps}: arrow {forged.describe()} breaks the {law} law"
+        )
+        assert not cert.nontrivial
+        assert len(cert.boxes) == len(cert.norms) == steps
+
+    def test_certificate_reports_a_missing_arrow(self, monkeypatch):
+        monkeypatch.delitem(diagram._ARROW_FROM, ("B3", SIGMA_INV))
+        cert = certify_nontrivial(parse_word("S1 S1", 2))
+        assert cert.violation == "step 2: no sigma^-1 arrow out of B3"
+        assert cert.boxes == ("B1", "B3")
+        assert not cert.nontrivial
+        assert not verify_closure().ok
 
 
 class TestCertify:
@@ -237,6 +340,14 @@ class TestCertify:
                     assert after == before
                 else:
                     assert after > before
+
+    def test_seeded_batch_is_pinned(self):
+        rng = random.Random(31)
+        batch = []
+        for _ in range(2000):
+            cert = certify_nontrivial(random_reduced_word(2, rng.randint(1, 50), rng))
+            batch.append([list(cert.image), list(cert.boxes), list(cert.norms), cert.violation])
+        assert sha256_json(batch) == CERTIFY_2000_31_SHA256
 
     def test_final_box_matches_image(self):
         rng = random.Random(29)

@@ -10,7 +10,7 @@ import pytest
 
 from vbraid.action import apply_letters, base_vector
 from vbraid.hunt import HuntConfig, hunt, moved_fraction
-from vbraid.words import MAX_LETTERS, BraidWord, format_word, free_reduce, parse_word
+from vbraid.words import MAX_LETTERS, MAX_STRANDS, BraidWord, format_word, free_reduce, parse_word
 
 BETA = "s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1"
 
@@ -40,6 +40,7 @@ class TestConfig:
             dict(strands=3, word_length=5, word_count=1, seed=0, base=(0, 1)),
             dict(strands=3, word_length=MAX_LETTERS + 1, word_count=1, seed=0),
             dict(strands=3, word_length=(1, 2_000_000_000), word_count=1, seed=0),
+            dict(strands=MAX_STRANDS + 1, word_length=5, word_count=1, seed=0),
         ],
     )
     def test_validation(self, kwargs):

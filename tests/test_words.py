@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from vbraid import words
 from vbraid.words import (
     MAX_LETTERS,
+    MAX_STRANDS,
     RHO,
     SIGMA,
     SIGMA_INV,
@@ -109,16 +109,11 @@ class TestParse:
     @pytest.mark.parametrize(
         "text", ["s1^100000000000000000000", f"s1^-{MAX_LETTERS + 1}"]
     )
-    def test_letter_cap_fails_before_allocating(self, text):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError) as info:
-                parse_word(text, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_letter_cap_fails_before_allocating(self, text, peak_traced_bytes):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, 2)
         assert f"{MAX_LETTERS} letters" in str(info.value)
-        assert peak < 2**20
+        assert peak_traced_bytes() < 2**20
 
     @pytest.mark.parametrize(
         "text, position",
@@ -132,6 +127,19 @@ class TestParse:
     def test_long_rho_exponent_keeps_its_parity(self):
         assert parse_word("r1^" + "1" * 5000, 2) == parse_word("r1", 2)
         assert parse_word("r1^-" + "2" * 5000, 2) == BraidWord(2)
+
+    def test_largest_index_under_the_strand_cap(self):
+        assert parse_word(f"s{MAX_STRANDS - 1}").strands == MAX_STRANDS
+
+    @pytest.mark.parametrize("text", [f"s1 s{MAX_STRANDS}", "s1 r300000000^5"])
+    def test_index_above_the_strand_cap_fails_before_allocating(
+        self, text, peak_traced_bytes
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_word(text)
+        assert info.value.position == 2
+        assert f"{MAX_STRANDS} strands" in str(info.value)
+        assert peak_traced_bytes() < 2**20
 
     def test_letter_cap_counts_the_whole_word(self, monkeypatch):
         monkeypatch.setattr(words, "MAX_LETTERS", 5)
@@ -297,6 +305,24 @@ class TestBraidWord:
             BraidWord(2, (Letter(SIGMA, 2),))
         with pytest.raises(ValueError):
             BraidWord(1, ())
+
+    def test_strand_cap(self):
+        assert BraidWord(MAX_STRANDS).strands == MAX_STRANDS
+        with pytest.raises(ValueError, match=f"at most {MAX_STRANDS}"):
+            BraidWord(MAX_STRANDS + 1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: parse_word("s1", 300_000_000),
+            lambda: random_reduced_word(300_000_000, 5, random.Random(0)),
+        ],
+        ids=["parse_word", "random_reduced_word"],
+    )
+    def test_strand_cap_fails_before_allocating(self, make, peak_traced_bytes):
+        with pytest.raises(ValueError, match=f"at most {MAX_STRANDS}"):
+            make()
+        assert peak_traced_bytes() < 2**20
 
     def test_concat_checks_strands(self):
         with pytest.raises(ValueError):
