@@ -69,19 +69,13 @@ def act_sigma_inv(quad: Quad) -> Quad:
     return _cross(SIGMA_INV, *quad)
 
 
-def act_rho(quad: Quad) -> Quad:
-    """Image of a quadruple under the virtual crossing: swap the two pairs."""
-    a, b, c, d = quad
-    return (c, d, a, b)
-
-
 def act_quad(kind: int, quad: Quad) -> Quad:
-    """Dispatch on the letter kind (SIGMA, SIGMA_INV or RHO)."""
+    """Dispatch on the letter kind (SIGMA, SIGMA_INV or RHO); rho swaps the pairs."""
+    a, b, c, d = quad
     if kind == SIGMA or kind == SIGMA_INV:
-        a, b, c, d = quad
         return _cross(kind, a, b, c, d)
     if kind == RHO:
-        return act_rho(quad)
+        return (c, d, a, b)
     raise ValueError(f"unknown letter kind {kind}")
 
 

@@ -42,14 +42,6 @@ GENERATOR_NAMES = {SIGMA: "sigma", SIGMA_INV: "sigma^-1", RHO: "rho"}
 SignPattern = tuple[str, str, str, str]
 
 
-def symbol_matches(symbol: str, x: int) -> bool:
-    """Membership of an integer in the set named by a sign symbol."""
-    try:
-        return _PREDICATES[symbol](x)
-    except KeyError:
-        raise ValueError(f"unknown sign symbol {symbol!r}") from None
-
-
 def pattern_matches(pattern: SignPattern, quad: Quad) -> bool:
     a, b, c, d = quad
     s1, s2, s3, s4 = pattern

@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Iterable
 
 from .action import apply_letters, moved_probes
 from .words import (
@@ -41,11 +42,11 @@ from .words import (
     SIGMA_INV,
     BraidWord,
     Letter,
+    _inverted,
+    _reduced,
     _reduced_letters,
     check_strands,
     format_word,
-    free_reduce,
-    parse_word,
 )
 
 # Node budget of ``provably_trivial``: the distinct words it visits.
@@ -170,20 +171,18 @@ class HuntReport:
         return "\n".join(json.dumps(fixer.as_dict()) for fixer in self.base_fixers)
 
 
-def _inverted(side: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple(letter.inverse() for letter in reversed(side))
+def _rules(indices: Iterable[int]) -> dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]]:
+    """The rules of ``relation_rules`` for the defining relators whose
+    generator indices all lie in ``indices``.
 
-
-def relation_rules(strands: int) -> dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]]:
-    """Length-preserving rewrite rules derived from the defining relators.
-
-    Every rotation of every defining relator (and of its inverse) is split
-    in half, giving rules u -> v with u = v in the group and |u| = |v|.
-    Rewrites can therefore never grow a word, and together with free
-    reduction they shrink relator conjugates to nothing.
+    Both sides of every rule use every index of its relator, so for a word
+    over ``indices`` these are all the rules that can ever apply to it or
+    to any of its rewrites.
     """
+    present = set(indices)
+    indices = sorted(present)
     relators: list[tuple[Letter, ...]] = []
-    for i in range(1, strands - 1):
+    for i in (i for i in indices if i + 1 in present):
         si, sj = Letter(SIGMA, i), Letter(SIGMA, i + 1)
         ti, tj = Letter(SIGMA_INV, i), Letter(SIGMA_INV, i + 1)
         ri, rj = Letter(RHO, i), Letter(RHO, i + 1)
@@ -191,11 +190,10 @@ def relation_rules(strands: int) -> dict[tuple[Letter, ...], tuple[tuple[Letter,
         relators.append((ri, rj, ri, rj, ri, rj))  # virtual braid relation
         relators.append((ri, rj, si, rj, ri, tj))  # mixed relation
         relators.append((rj, ri, sj, ri, rj, ti))  # mixed relation, other form
-    for i in range(1, strands):
-        for j in range(i + 2, strands):
-            for a in (Letter(SIGMA, i), Letter(SIGMA_INV, i), Letter(RHO, i)):
-                for b in (Letter(SIGMA, j), Letter(SIGMA_INV, j), Letter(RHO, j)):
-                    relators.append((a, b) + _inverted((a,)) + _inverted((b,)))
+    for i, j in ((i, j) for i in indices for j in indices if j > i + 1):
+        for a in (Letter(SIGMA, i), Letter(SIGMA_INV, i), Letter(RHO, i)):
+            for b in (Letter(SIGMA, j), Letter(SIGMA_INV, j), Letter(RHO, j)):
+                relators.append((a, b, a.inverse(), b.inverse()))
     rules: dict[tuple[Letter, ...], set[tuple[Letter, ...]]] = {}
     for relator in relators:
         for variant in (relator, _inverted(relator)):
@@ -209,6 +207,19 @@ def relation_rules(strands: int) -> dict[tuple[Letter, ...], tuple[tuple[Letter,
     return {key: tuple(sorted(value)) for key, value in rules.items()}
 
 
+def relation_rules(strands: int) -> dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]]:
+    """Length-preserving rewrite rules derived from the defining relators.
+
+    Every rotation of every defining relator of VB_strands (and of its
+    inverse) is split in half, giving rules u -> v with u = v in the group
+    and |u| = |v|.  Rewrites can therefore never grow a word, and together
+    with free reduction they shrink relator conjugates to nothing.  The
+    table has O(strands^2) keys; ``provably_trivial`` builds only the rules
+    over its word's own indices.
+    """
+    return _rules(range(1, strands))
+
+
 def provably_trivial(
     word: BraidWord,
     rules: dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]] | None = None,
@@ -218,14 +229,16 @@ def provably_trivial(
     Sound but incomplete: a True answer certifies that the word is the
     identity element; False only means no certificate was found within
     ``PROVER_NODES`` visited words.  The search applies free reduction and
-    the non-growing relation rules breadth first.
+    the non-growing relation rules breadth first, on letter tuples.  With
+    ``rules`` omitted they are built over the word's own generator indices,
+    which gives the same answer as ``relation_rules(word.strands)``.
     """
-    if rules is None:
-        rules = relation_rules(word.strands)
-    widths = sorted({len(key) for key in rules})
-    start = free_reduce(word).letters
+    start = _reduced(word.letters)
     if not start:
         return True
+    if rules is None:
+        rules = _rules(index for _, index in start)
+    widths = sorted({len(key) for key in rules})
     seen = {start}
     queue: deque[tuple[Letter, ...]] = deque([start])
     while queue and len(seen) < PROVER_NODES:
@@ -234,11 +247,8 @@ def provably_trivial(
             for position in range(len(current) - width + 1):
                 block = current[position : position + width]
                 for replacement in rules.get(block, ()):
-                    rewritten = BraidWord(
-                        word.strands,
-                        current[:position] + replacement + current[position + width :],
-                    )
-                    candidate = free_reduce(rewritten).letters
+                    rewritten = current[:position] + replacement + current[position + width :]
+                    candidate = _reduced(rewritten)
                     if not candidate:
                         return True
                     if candidate not in seen:
@@ -261,38 +271,34 @@ def moved_fraction(
     return Fraction(sum(1 for _ in probes), samples)
 
 
-def _scan_range(config: HuntConfig, start: int, stop: int) -> dict[str, tuple[int, Fraction]]:
-    """Screen word indices [start, stop); return fixers keyed by word text.
-
-    Each value is (first index where the word occurred, battery fraction
-    measured from that index's random stream).
-    """
+def _scan_range(config: HuntConfig, start: int, stop: int) -> dict[tuple[Letter, ...], Fraction]:
+    """Screen word indices [start, stop); return the base fixers' letters,
+    in order of first occurrence, each with the battery fraction measured
+    from the random stream of its first index."""
     low, high = config.length_range()
     base = list(config.start_entries())
     strands = config.strands
-    found: dict[str, tuple[int, Fraction]] = {}
+    found: dict[tuple[Letter, ...], Fraction] = {}
     for index in range(start, stop):
         rng = Random(config.seed * 2**64 + index)
         letters = _reduced_letters(strands, rng.randint(low, high), rng)
-        if apply_letters(base, letters) != base:
-            continue
-        word = BraidWord(strands, letters)
-        text = format_word(word)
-        if text not in found:
-            fraction = moved_fraction(
-                word, config.battery_size, config.coefficient_bound, rng
+        if apply_letters(base, letters) == base and letters not in found:
+            found[letters] = moved_fraction(
+                BraidWord(strands, letters), config.battery_size, config.coefficient_bound, rng
             )
-            found[text] = (index, fraction)
     return found
 
 
 def hunt(config: HuntConfig, workers: int = 1) -> HuntReport:
     """Run the randomized kernel search.
 
-    The word index range is split into contiguous chunks across workers;
-    results are merged keeping, for each distinct fixer, the measurement
-    from its earliest index, so the report is identical for any worker
-    count.  The pool has at most ``os.cpu_count()`` processes.
+    The word index range is split into contiguous chunks across workers.
+    ``starmap`` returns the chunk results in chunk order, and each lists
+    its fixers in order of first occurrence, so merging them in that order
+    with ``setdefault`` keeps, for each distinct fixer, the measurement from
+    its earliest index and lists the fixers in order of first occurrence:
+    the report is identical for any worker count.  The pool has at most
+    ``os.cpu_count()`` processes.
     """
     if workers < 1:
         raise ValueError("worker count must be positive")
@@ -309,33 +315,24 @@ def hunt(config: HuntConfig, workers: int = 1) -> HuntReport:
         with multiprocessing.Pool(workers) as pool:
             partials = pool.starmap(_scan_range, ranges)
 
-    merged: dict[str, tuple[int, Fraction]] = {}
+    merged: dict[tuple[Letter, ...], Fraction] = {}
     for partial in partials:
-        for text, (index, fraction) in partial.items():
-            if text not in merged or index < merged[text][0]:
-                merged[text] = (index, fraction)
-    ordered = sorted(merged.items(), key=lambda item: item[1][0])
-    fixers = tuple(
-        Fixer(text, fraction, config.battery_size) for text, (_, fraction) in ordered
-    )
+        for letters, fraction in partial.items():
+            merged.setdefault(letters, fraction)
 
+    fixers: list[Fixer] = []
     candidates: list[str] = []
     identities: list[str] = []
-    rules = None
-    for fixer in fixers:
-        if fixer.moved_fraction != 0:
-            continue
-        if rules is None:
-            rules = relation_rules(config.strands)
-        word = parse_word(fixer.word, config.strands)
-        if provably_trivial(word, rules):
-            identities.append(fixer.word)
-        else:
-            candidates.append(fixer.word)
+    for letters, fraction in merged.items():
+        word = BraidWord(config.strands, letters)
+        text = format_word(word)
+        fixers.append(Fixer(text, fraction, config.battery_size))
+        if fraction == 0:
+            (identities if provably_trivial(word) else candidates).append(text)
     return HuntReport(
         config=config,
         words_tested=count,
-        base_fixers=fixers,
+        base_fixers=tuple(fixers),
         kernel_candidates=tuple(candidates),
         identity_words=tuple(identities),
         runtime_seconds=time.perf_counter() - started,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .action import Coordinates, apply_letters, base_vector, moved_probes
-from .words import BraidWord, format_word, free_reduce, inverse, permutation
+from .words import BraidWord, _inverted, _reduced, format_word, free_reduce, permutation
 
 # The probe distribution for randomized batteries: entries uniform on
 # integers in [-BATTERY_BOUND, BATTERY_BOUND].
@@ -175,7 +175,7 @@ def distinguish_vbn(
     if battery > 0 and rng is None:
         raise ValueError("a seeded Random is required for the probe battery")
     # The action is a bijection: p.w1 != p.w2 exactly when w1 w2^-1 moves p.
-    quotient = free_reduce(w1 * inverse(w2)).letters
+    quotient = _reduced(w1.letters + _inverted(w2.letters))
     probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
     if probe is not None:
         return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)

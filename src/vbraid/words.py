@@ -94,9 +94,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
             return NotImplemented
@@ -172,25 +169,33 @@ def format_word(word: BraidWord) -> str:
     return " ".join(_KIND_CHAR[kind] + str(index) for kind, index in word.letters)
 
 
+def _reduced(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Free reduction of a letter tuple; ``free_reduce`` on bare letters."""
+    stack: list[Letter] = []
+    for letter in letters:
+        if stack and cancels(stack[-1], letter):
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+def _inverted(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Group inverse of a letter tuple: reversed, crossings inverted."""
+    return tuple(letter.inverse() for letter in reversed(letters))
+
+
 def free_reduce(word: BraidWord) -> BraidWord:
     """Delete adjacent sigma/sigma-inverse and rho/rho pairs until none remain.
 
     Only free cancellation is applied; no braid or mixed relations are used.
     """
-    stack: list[Letter] = []
-    for letter in word.letters:
-        if stack and cancels(stack[-1], letter):
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(word.strands, tuple(stack))
+    return BraidWord(word.strands, _reduced(word.letters))
 
 
 def inverse(word: BraidWord) -> BraidWord:
     """The group inverse: reversed letters with crossings inverted."""
-    return BraidWord(
-        word.strands, tuple(letter.inverse() for letter in reversed(word.letters))
-    )
+    return BraidWord(word.strands, _inverted(word.letters))
 
 
 @lru_cache(maxsize=64)
@@ -264,15 +269,10 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
     """Image of the word in the symmetric group, in one-line notation.
 
     Every letter, crossing or virtual, maps to the transposition of the
-    strand positions it touches.
+    strand positions it touches.  Entry k is the final position of the
+    strand that starts at position k.
     """
-    images = list(range(1, word.strands + 1))
+    at = list(range(1, word.strands + 1))  # the strand at each position
     for _, index in word.letters:
-        upper = index + 1
-        for k, value in enumerate(images):
-            if value == index:
-                images[k] = upper
-            elif value == upper:
-                images[k] = index
-    return tuple(images)
-
+        at[index - 1], at[index] = at[index], at[index - 1]
+    return tuple(sorted(range(1, word.strands + 1), key=lambda position: at[position - 1]))

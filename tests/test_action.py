@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from vbraid.action import (
     Coordinates,
-    act_rho,
+    act_quad,
     act_sigma,
     act_sigma_inv,
     act_word,
@@ -48,9 +48,9 @@ class TestQuadActions:
         assert act_sigma_inv((1, 0, 0, 2)) == (0, 1, 0, 1)
 
     def test_rho_values(self):
-        assert act_rho((1, 0, 0, 2)) == (0, 2, 1, 0)
-        assert act_rho((3, 4, 3, 4)) == (3, 4, 3, 4)
-        assert act_rho((0, 2, 0, 1)) == (0, 1, 0, 2)
+        assert act_quad(RHO, (1, 0, 0, 2)) == (0, 2, 1, 0)
+        assert act_quad(RHO, (3, 4, 3, 4)) == (3, 4, 3, 4)
+        assert act_quad(RHO, (0, 2, 0, 1)) == (0, 1, 0, 2)
 
     @given(quads)
     def test_sigma_roundtrip(self, quad):
@@ -59,11 +59,11 @@ class TestQuadActions:
 
     @given(quads)
     def test_rho_involution(self, quad):
-        assert act_rho(act_rho(quad)) == quad
+        assert act_quad(RHO, act_quad(RHO, quad)) == quad
 
     @given(quads)
     def test_pair_sum_conserved(self, quad):
-        for image in (act_sigma(quad), act_sigma_inv(quad), act_rho(quad)):
+        for image in (act_sigma(quad), act_sigma_inv(quad), act_quad(RHO, quad)):
             assert image[1] + image[3] == quad[1] + quad[3]
 
     def test_unfaithful_fixed_point(self):

@@ -19,7 +19,6 @@ from vbraid.diagram import (
     l1_norm,
     pattern_matches,
     sample_matching,
-    symbol_matches,
     verify_arrow,
     verify_closure,
     verify_diagram,
@@ -57,12 +56,14 @@ class TestSymbols:
         ],
     )
     def test_membership(self, symbol, member, nonmember):
-        assert symbol_matches(symbol, member)
-        assert not symbol_matches(symbol, nonmember)
-
-    def test_unknown_symbol(self):
-        with pytest.raises(ValueError):
-            symbol_matches("++", 1)
+        for slot in range(4):
+            pattern = ["+0"] * 4
+            pattern[slot] = symbol
+            quad = [0] * 4
+            quad[slot] = member
+            assert pattern_matches(tuple(pattern), tuple(quad))
+            quad[slot] = nonmember
+            assert not pattern_matches(tuple(pattern), tuple(quad))
 
     def test_pattern_matching(self):
         assert pattern_matches(("+", "+0", "0", "-"), (2, 0, 0, -1))

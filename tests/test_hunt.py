@@ -9,8 +9,17 @@ from fractions import Fraction
 import pytest
 
 from vbraid.action import apply_letters, base_vector
-from vbraid.hunt import HuntConfig, hunt, moved_fraction
-from vbraid.words import MAX_LETTERS, MAX_STRANDS, BraidWord, format_word, free_reduce, parse_word
+from vbraid.hunt import HuntConfig, hunt, moved_fraction, provably_trivial, relation_rules
+from vbraid.words import (
+    MAX_LETTERS,
+    MAX_STRANDS,
+    BraidWord,
+    format_word,
+    free_reduce,
+    inverse,
+    parse_word,
+    random_reduced_word,
+)
 
 BETA = "s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1"
 
@@ -60,6 +69,40 @@ class TestHunt:
         del report["runtime_seconds"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "5b80f92a4d084b46161707e998ee5e7c3c774b27c5a8ffd8d6f5c3f22481c879"
+
+    @pytest.mark.parametrize(
+        "config, workers, digest",
+        [
+            (
+                HuntConfig(4, (1, 12), 20000, seed=5),
+                1,
+                "ad48d265e57306f1bf42eb8aeca96d5a72193c3e32d7e7ebf89e8b4d60f7c03d",
+            ),
+            (
+                HuntConfig(5, (1, 10), 20000, seed=6),
+                2,
+                "7e6088f752b769abf364de4ceb465bf205e74476af0f0bc127a249be1acdde3e",
+            ),
+        ],
+        ids=["n4", "n5-2workers"],
+    )
+    def test_prover_reports_are_pinned(self, config, workers, digest):
+        # More strands than the n = 3 pin: dozens of fixers, several of them
+        # proved trivial, merged across chunks at 2 workers.
+        report = hunt(config, workers).as_dict()
+        del report["runtime_seconds"]
+        assert report["identity_words"]
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("strands", [100, MAX_STRANDS])
+    def test_prover_memory_does_not_grow_with_the_strand_count(self, strands, peak_traced_bytes):
+        # One-letter words: every rho letter fixes the base vector, and a
+        # one-probe battery with entries in [-1, 1] lets some through to
+        # the prover.
+        config = HuntConfig(strands, 1, 200, seed=1, battery_size=1, coefficient_bound=1)
+        report = hunt(config)
+        assert report.kernel_candidates
+        assert peak_traced_bytes() < 16 * 2**20
 
     @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (None, [])])
     def test_pool_is_clamped_to_cpu_count(self, monkeypatch, cpus, sizes):
@@ -128,8 +171,6 @@ class TestHunt:
         assert report.kernel_candidates == ()
 
     def test_relator_conjugate_is_classified_as_identity(self):
-        from vbraid.hunt import provably_trivial
-
         # freely reduced, yet equal to 1 by the mixed relation
         word = parse_word("s1 r2 r1 S2 r1 r2", 3)
         assert free_reduce(word) == word
@@ -137,6 +178,35 @@ class TestHunt:
         # nontrivial words stay unproven
         assert not provably_trivial(parse_word("s1", 3))
         assert not provably_trivial(parse_word(BETA, 3))
+
+    @pytest.mark.parametrize("strands", [3, 4, 5, 6])
+    def test_word_indices_give_the_full_table_answer(self, strands):
+        rules = relation_rules(strands)
+        # u v^-1 is a relator for every rule u -> v.
+        relators = [
+            left + inverse(BraidWord(strands, right)).letters
+            for left, rights in rules.items()
+            for right in rights
+        ]
+        rng = random.Random(strands)
+        answers = set()
+        for _ in range(200):
+            letters = random_reduced_word(strands, rng.randint(0, 4), rng).letters
+            for _ in range(rng.randint(0, 1)):
+                cut = rng.randint(0, len(letters))
+                conjugator = random_reduced_word(strands, rng.randint(0, 1), rng)
+                letters = (
+                    letters[:cut]
+                    + conjugator.letters
+                    + rng.choice(relators)
+                    + inverse(conjugator).letters
+                    + letters[cut:]
+                )
+            word = BraidWord(strands, letters)
+            answer = provably_trivial(word)
+            assert answer == provably_trivial(word, rules)
+            answers.add(answer)
+        assert answers == {True, False}
 
     def test_fixers_deduplicated(self):
         report = hunt(HuntConfig(3, (1, 3), 5000, seed=11))

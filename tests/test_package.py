@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 import types
@@ -31,3 +32,53 @@ def test_plain_import_reaches_the_submodules_and_reexports_nothing():
         "HuntConfig",
         "['action', 'diagram', 'hunt', 'wordproblem', 'words']",
     ]
+
+
+ROOT = SRC.parent
+
+
+def _definitions(tree):
+    """Module-level public names with the line range of their definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _uses(tree):
+    """(line, name) for every name, attribute and from-import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    # A public name must be used by another line of the package, or be
+    # imported or used by the benchmark or the acceptance tests; the unit
+    # tests do not count.
+    sources = sorted((SRC / "vbraid").glob("*.py"))
+    readers = [*sources, *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in readers}
+    uses = {}
+    for path, tree in trees.items():
+        for line, name in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+    dead = [
+        f"{path.stem}.{name}"
+        for path in sources
+        for name, first, last in _definitions(trees[path])
+        if all(where == path and first <= line <= last for where, line in uses.get(name, []))
+    ]
+    assert dead == []

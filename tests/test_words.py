@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -279,7 +280,38 @@ class TestRandomStream:
                 assert rng.random() == reference.random()
 
 
+def quadratic_permutation(word):
+    """Reference: relabel every strand position for each letter."""
+    images = list(range(1, word.strands + 1))
+    for _, index in word.letters:
+        for k, value in enumerate(images):
+            if value == index:
+                images[k] = index + 1
+            elif value == index + 1:
+                images[k] = index
+    return tuple(images)
+
+
 class TestPermutation:
+    def test_matches_the_quadratic_reference(self):
+        rng = random.Random(23)
+        for strands in range(2, 10):
+            for _ in range(50):
+                word = random_reduced_word(strands, rng.randint(0, 40), rng)
+                assert permutation(word) == quadratic_permutation(word)
+
+    def test_both_caps_in_linear_time(self):
+        word = random_reduced_word(MAX_STRANDS, MAX_LETTERS, random.Random(29))
+        started = time.perf_counter()
+        images = permutation(word)
+        assert time.perf_counter() - started < 5
+        # The two halves compose to the whole, leftmost letter first.
+        cut = MAX_LETTERS // 2
+        first = permutation(BraidWord(MAX_STRANDS, word.letters[:cut]))
+        second = permutation(BraidWord(MAX_STRANDS, word.letters[cut:]))
+        assert images == tuple(second[position - 1] for position in first)
+        assert sorted(images) == list(range(1, MAX_STRANDS + 1))
+
     def test_single_crossing(self):
         assert permutation(parse_word("s1", 2)) == (2, 1)
 
