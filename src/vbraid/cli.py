@@ -5,7 +5,8 @@ failing diagram check, a certificate violation, or a hunt that leaves a
 kernel candidate; the hunt writes its report first).
 Every randomized subcommand requires an explicit --seed.
 Output files (--out, --fixers-out, --json) are opened before the work
-starts, so an unwritable path fails at once with exit 1.
+starts, so an unwritable path fails at once with exit 1; an existing file
+keeps its bytes until the finished work replaces them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from random import Random
 from .action import Coordinates, act_word, base_vector
 from .diagram import certify_nontrivial, verify_diagram
 from .hunt import HuntConfig, hunt, moved_fraction
-from .wordproblem import are_equal_bn, are_equal_vb2, distinguish_vbn
+from .wordproblem import VB2_START, are_equal_bn, are_equal_vb2, distinguish_vbn
 from .words import format_word, free_reduce, parse_word, permutation
 
 VALIDATION_ERROR = 1
@@ -42,8 +43,16 @@ def _parse_length(text: str) -> int | tuple[int, int]:
 
 
 def _output(path: str | None):
-    """An output file opened for writing, or None when no path is given."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+    """An output file opened for appending, so that work rejected before
+    ``_write`` leaves an existing file intact; None when no path is given."""
+    return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _write(handle, text: str) -> None:
+    """Replace the contents of a file opened by ``_output`` with ``text``."""
+    if handle.seekable():  # a pipe or terminal has nothing to truncate
+        handle.truncate(0)
+    handle.write(text)
 
 
 def _cmd_act(args) -> int:
@@ -98,13 +107,10 @@ def _cmd_hunt(args) -> int:
     )
     with _output(args.out) as out, _output(args.fixers_out) as fixers:
         report = hunt(config, workers=args.workers)
-        out.write(report.to_json())
-        out.write("\n")
+        _write(out, report.to_json() + "\n")
         if fixers is not None:
             text = report.fixers_jsonl()
-            fixers.write(text)
-            if text:
-                fixers.write("\n")
+            _write(fixers, text + "\n" if text else "")
     print(
         f"tested {report.words_tested} words: {len(report.base_fixers)} distinct "
         f"base fixers, {len(report.kernel_candidates)} kernel candidates "
@@ -124,8 +130,7 @@ def _cmd_verify_diagram(args) -> int:
     with _output(args.json) as handle:
         report = verify_diagram(args.samples, Random(args.seed))
         if handle is not None:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+            _write(handle, json.dumps(report.as_dict(), indent=2) + "\n")
     for check in report.arrow_checks:
         status = "ok" if check.ok else f"FAIL counterexample={check.counterexample}"
         print(f"arrow {check.arrow.describe()}: {check.samples} samples {status}")
@@ -215,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="certify a two-strand word as trivial or nontrivial"
     )
     certify.add_argument("--word", required=True)
-    certify.add_argument("--start", default="0,2,0,1", help="start vector (CSV)")
+    certify.add_argument(
+        "--start", default=",".join(map(str, VB2_START)), help="start vector (CSV)"
+    )
     certify.set_defaults(func=_cmd_certify)
 
     return parser

@@ -11,8 +11,9 @@ ends at a vector of larger norm, or at the pair-swapped start, and both
 differ from the start vector.
 
 Sign symbols are '0', '+', '-', '+0' and '-0', denoting zero, positive,
-negative, nonnegative and nonpositive entries; a pattern is a quadruple of
-symbols and names the set of quadruples satisfying it coordinatewise.
+negative, nonnegative and nonpositive entries, as the sign table ``_SIGNS``
+states; a pattern is a quadruple of symbols and names the set of quadruples
+satisfying it coordinatewise.
 
 This module encodes the nine boxes and the nineteen arrows (fourteen
 crossing arrows plus five virtual ones), checks every arrow on randomized
@@ -27,15 +28,11 @@ from random import Random
 from typing import Callable
 
 from .action import Quad, act_quad
+from .wordproblem import VB2_START
 from .words import RHO, SIGMA, SIGMA_INV, BraidWord, free_reduce
 
-_PREDICATES: dict[str, Callable[[int], bool]] = {
-    "0": lambda x: x == 0,
-    "+": lambda x: x > 0,
-    "-": lambda x: x < 0,
-    "+0": lambda x: x >= 0,
-    "-0": lambda x: x <= 0,
-}
+# The signs (x > 0) - (x < 0) of the entries x each symbol admits.
+_SIGNS = {"0": (0,), "+": (1,), "-": (-1,), "+0": (0, 1), "-0": (-1, 0)}
 
 GENERATOR_NAMES = {SIGMA: "sigma", SIGMA_INV: "sigma^-1", RHO: "rho"}
 
@@ -45,46 +42,39 @@ SignPattern = tuple[str, str, str, str]
 def pattern_matches(pattern: SignPattern, quad: Quad) -> bool:
     a, b, c, d = quad
     s1, s2, s3, s4 = pattern
-    p = _PREDICATES
-    return p[s1](a) and p[s2](b) and p[s3](c) and p[s4](d)
+    s = _SIGNS
+    return (
+        (a > 0) - (a < 0) in s[s1]
+        and (b > 0) - (b < 0) in s[s2]
+        and (c > 0) - (c < 0) in s[s3]
+        and (d > 0) - (d < 0) in s[s4]
+    )
 
 
-@dataclass(frozen=True)
-class Box:
-    """A named sign-pattern region of Z^4."""
-
-    name: str
-    pattern: SignPattern
-
-    def matches(self, quad: Quad) -> bool:
-        return pattern_matches(self.pattern, quad)
-
-
-BOXES: tuple[Box, ...] = (
-    Box("B1", ("0", "+", "0", "+")),
-    Box("B2", ("+", "0", "0", "+")),
-    Box("B3", ("-", "0", "0", "+")),
-    Box("B4", ("0", "+", "+", "0")),
-    Box("B5", ("0", "+", "-", "0")),
-    Box("B6", ("-", "-", "+0", "+")),
-    Box("B7", ("+", "-", "-0", "+")),
-    Box("B8", ("+0", "+", "-", "-")),
-    Box("B9", ("-0", "+", "+", "-")),
-)
-
-BOX_BY_NAME = {box.name: box for box in BOXES}
+# The nine sign-pattern regions of Z^4, by name.
+BOXES: dict[str, SignPattern] = {
+    "B1": ("0", "+", "0", "+"),
+    "B2": ("+", "0", "0", "+"),
+    "B3": ("-", "0", "0", "+"),
+    "B4": ("0", "+", "+", "0"),
+    "B5": ("0", "+", "-", "0"),
+    "B6": ("-", "-", "+0", "+"),
+    "B7": ("+", "-", "-0", "+"),
+    "B8": ("+0", "+", "-", "-"),
+    "B9": ("-0", "+", "+", "-"),
+}
 
 START_BOX = "B1"
 
 
-def classify(quad: Quad) -> list[Box]:
-    """All boxes whose pattern the quadruple satisfies.
+def classify(quad: Quad) -> list[str]:
+    """The names of all boxes whose pattern the quadruple satisfies.
 
     The nine patterns are pairwise disjoint, so the result has at most one
     element; quadruples outside the diagram (for example any with all
     entries positive) match none.
     """
-    return [box for box in BOXES if box.matches(quad)]
+    return [name for name, pattern in BOXES.items() if pattern_matches(pattern, quad)]
 
 
 @dataclass(frozen=True)
@@ -169,25 +159,23 @@ def sample_matching(pattern: SignPattern, rng: Random) -> Quad:
     """
 
     def draw(symbol: str) -> int:
-        if symbol == "0":
-            return 0
-        if symbol in ("+0", "-0") and rng.random() < 0.25:
+        signs = _SIGNS[symbol]
+        if signs == (0,) or 0 in signs and rng.random() < 0.25:
             return 0
         size = 1 if rng.random() < 0.25 else rng.randint(1, 10**6)
-        return size if symbol in ("+", "+0") else -size
+        return size if 1 in signs else -size
 
     s1, s2, s3, s4 = pattern
     return (draw(s1), draw(s2), draw(s3), draw(s4))
 
 
-# The four laws every step along an arrow obeys, in the order of the flags
-# of ``_broken_laws`` and of the per-law counts in ``ArrowCheck.as_dict``.
-_LAWS = ("closed form", "target box", "norm", "b + d")
-_LAW_KEYS = (
-    "closed_form_mismatches",
-    "target_escapes",
-    "norm_violations",
-    "pair_sum_violations",
+# The four laws every step along an arrow obeys, each with the key of its
+# count in ``ArrowCheck.as_dict``, in the order of the flags of ``_broken_laws``.
+_LAWS = (
+    ("closed form", "closed_form_mismatches"),
+    ("target box", "target_escapes"),
+    ("norm", "norm_violations"),
+    ("b + d", "pair_sum_violations"),
 )
 
 
@@ -199,7 +187,7 @@ def _broken_laws(
     for crossings, equal to it for virtual steps) and b + d conservation."""
     return (
         image != arrow.closed_form(*quad),
-        not BOX_BY_NAME[arrow.target].matches(image),
+        not pattern_matches(BOXES[arrow.target], image),
         after != before if arrow.generator == RHO else after <= before,
         image[1] + image[3] != quad[1] + quad[3],
     )
@@ -230,7 +218,7 @@ class ArrowCheck:
             "target": self.arrow.target,
             "samples": self.samples,
             "pass": self.ok,
-            **dict(zip(_LAW_KEYS, self.violations)),
+            **{key: count for (_, key), count in zip(_LAWS, self.violations)},
             "counterexample": None
             if self.counterexample is None
             else list(self.counterexample),
@@ -241,7 +229,7 @@ def verify_arrow(arrow: Arrow, samples: int, rng: Random) -> ArrowCheck:
     """Check one arrow on randomized samples of its source region."""
     if samples < 1:
         raise ValueError("at least one sample is required")
-    source = BOX_BY_NAME[arrow.source].pattern
+    source = BOXES[arrow.source]
     violations = (0, 0, 0, 0)
     counterexample: Quad | None = None
     for _ in range(samples):
@@ -332,12 +320,8 @@ class Certificate:
     norms: tuple[int, ...]
     violation: str | None = None
 
-    @property
-    def nontrivial(self) -> bool:
-        return not self.trivial and self.violation is None
 
-
-def certify_nontrivial(word: BraidWord, start: Quad = (0, 2, 0, 1)) -> Certificate:
+def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
     """Freely reduce a two-strand word and certify whether it acts trivially.
 
     An empty reduction is reported as trivial.  Otherwise the word is
@@ -354,35 +338,29 @@ def certify_nontrivial(word: BraidWord, start: Quad = (0, 2, 0, 1)) -> Certifica
             "start vector must be (0, x, 0, y) with distinct positive x and y"
         )
     reduced = free_reduce(word)
-    if not reduced.letters:
-        return Certificate(
-            word, reduced, start, True, start, (START_BOX,), (l1_norm(start),)
-        )
-
+    trivial = not reduced.letters
     current = start
-    box = START_BOX
-    boxes = [box]
+    boxes = [START_BOX]
     norms = [l1_norm(start)]
     violation: str | None = None
     for step, (kind, _) in enumerate(reduced.letters, start=1):
-        arrow = _ARROW_FROM.get((box, kind))
+        arrow = _ARROW_FROM.get((boxes[-1], kind))
         if arrow is None:
-            violation = f"step {step}: no {GENERATOR_NAMES[kind]} arrow out of {box}"
+            violation = f"step {step}: no {GENERATOR_NAMES[kind]} arrow out of {boxes[-1]}"
             break
         image = act_quad(kind, current)
         norm = l1_norm(image)
         broken = _broken_laws(arrow, current, image, norms[-1], norm)
         if True in broken:
-            law = _LAWS[broken.index(True)]
+            law = _LAWS[broken.index(True)][0]
             violation = f"step {step}: arrow {arrow.describe()} breaks the {law} law"
             break
-        box = arrow.target
-        boxes.append(box)
+        boxes.append(arrow.target)
         norms.append(norm)
         current = image
 
-    if violation is None and current == start:
+    if violation is None and not trivial and current == start:
         violation = "nonempty reduced word returned to the start vector"
     return Certificate(
-        word, reduced, start, False, current, tuple(boxes), tuple(norms), violation
+        word, reduced, start, trivial, current, tuple(boxes), tuple(norms), violation
     )

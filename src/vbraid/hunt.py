@@ -34,7 +34,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable
 
-from .action import apply_letters, moved_probes
+from .action import apply_letters, base_vector, moved_probes
 from .words import (
     MAX_LETTERS,
     RHO,
@@ -99,7 +99,7 @@ class HuntConfig:
         return (low, high)
 
     def start_entries(self) -> tuple[int, ...]:
-        return self.base if self.base is not None else (0, 1) * self.strands
+        return self.base if self.base is not None else base_vector(self.strands).entries
 
     def as_dict(self) -> dict:
         low, high = self.length_range()

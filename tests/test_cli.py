@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from vbraid.cli import main
 from vbraid.hunt import HuntReport
 from vbraid.words import MAX_STRANDS, SIGMA
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
 
 
@@ -326,6 +330,56 @@ class TestHunt:
         assert err.startswith("vbraid hunt: error: ")
         assert "No such file or directory" in err
         assert str(paths[flag]) in err
+
+
+class TestOutputFiles:
+    OLD = '{"kept": true}\n'
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (
+                ["hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
+                 "--workers", "0"],
+                ["--out", "--fixers-out"],
+            ),
+            (["verify-diagram", "--samples", "0", "--seed", "6"], ["--json"]),
+        ],
+        ids=["hunt-workers-0", "verify-diagram-samples-0"],
+    )
+    def test_an_existing_file_keeps_its_bytes(self, argv, flags, capsys, tmp_path):
+        paths = []
+        for flag in flags:
+            paths.append(tmp_path / flag.strip("-"))
+            paths[-1].write_text(self.OLD)
+            argv = [*argv, flag, str(paths[-1])]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"vbraid {argv[0]}: error: ")
+        assert [path.read_text() for path in paths] == [self.OLD] * len(paths)
+
+    def test_a_finished_run_replaces_a_longer_file(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(self.OLD * 10**4)
+        code, _, _ = run(
+            capsys, "verify-diagram", "--samples", "5", "--seed", "6", "--json", str(path)
+        )
+        assert code == 0
+        assert json.loads(path.read_text())["pass"] is True
+
+    def test_a_pipe_is_written_without_truncation(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "vbraid.cli", "verify-diagram", "--samples", "5",
+             "--seed", "6", "--json", "/dev/stdout"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        report, _, lines = result.stdout.partition("\n}\n")
+        assert json.loads(report + "}")["pass"] is True
+        assert lines.count(" ok\n") == 19
 
 
 class TestStrandCap:

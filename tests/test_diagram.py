@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from vbraid import diagram
 from vbraid.action import act_quad, act_sigma, act_sigma_inv
 from vbraid.diagram import (
-    BOX_BY_NAME,
     BOXES,
     arrow_table,
     certify_nontrivial,
@@ -72,22 +72,26 @@ class TestSymbols:
 
 class TestClassify:
     def test_strictly_negative_pair(self):
-        boxes = classify((-1, -1, 0, 4))
-        assert [box.name for box in boxes] == ["B6"]
+        assert classify((-1, -1, 0, 4)) == ["B6"]
 
     def test_start_vector(self):
-        assert [box.name for box in classify((0, 2, 0, 1))] == ["B1"]
+        assert classify((0, 2, 0, 1)) == ["B1"]
 
     def test_after_one_crossing(self):
-        assert [box.name for box in classify((2, 0, 0, 3))] == ["B2"]
+        assert classify((2, 0, 0, 3)) == ["B2"]
 
     def test_outside_the_diagram(self):
         assert classify((7, 1, 4, 1)) == []
         assert classify((0, 0, 0, 0)) == []
 
-    @given(quads)
-    def test_boxes_are_pairwise_disjoint(self, quad):
-        assert len(classify(quad)) <= 1
+    def test_boxes_are_pairwise_disjoint(self):
+        # Membership depends only on the signs, so the 81 sign vectors
+        # cover every quadruple.
+        hits = [classify(signs) for signs in itertools.product((-1, 0, 1), repeat=4)]
+        inside = [names for names in hits if names]
+        assert len(inside) == 13
+        assert all(len(names) == 1 for names in inside)
+        assert {names[0] for names in inside} == set(BOXES)
 
 
 class TestArrowTable:
@@ -122,7 +126,7 @@ class TestArrowTable:
     def test_case_9_image_stays_in_box(self):
         image = act_sigma_inv((-1, -1, 0, 4))
         assert image == (-1, -2, 0, 5)
-        assert BOX_BY_NAME["B6"].matches(image)
+        assert pattern_matches(BOXES["B6"], image)
 
     @pytest.mark.parametrize("a", arrow_table(), ids=lambda a: a.describe())
     def test_every_arrow_on_samples(self, a):
@@ -132,19 +136,19 @@ class TestArrowTable:
     @settings(max_examples=300)
     @given(quads, st.sampled_from([a for a in arrow_table() if a.generator != RHO]))
     def test_closed_form_agrees_wherever_source_matches(self, quad, a):
-        if pattern_matches(BOX_BY_NAME[a.source].pattern, quad):
+        if pattern_matches(BOXES[a.source], quad):
             image = act_quad(a.generator, quad)
             assert image == a.closed_form(*quad)
-            assert pattern_matches(BOX_BY_NAME[a.target].pattern, image)
+            assert pattern_matches(BOXES[a.target], image)
             assert l1_norm(image) > l1_norm(quad)
 
 
 class TestSampling:
     def test_respects_pattern(self):
         rng = random.Random(4)
-        for box in BOXES:
+        for pattern in BOXES.values():
             for _ in range(200):
-                assert box.matches(sample_matching(box.pattern, rng))
+                assert pattern_matches(pattern, sample_matching(pattern, rng))
 
     def test_half_line_symbols_hit_their_boundary(self):
         rng = random.Random(9)
@@ -214,10 +218,10 @@ def forge(monkeypatch, label, image=None, **changes):
     forged = dataclasses.replace(arrow(label), **changes)
     if image is not None:
         forged = dataclasses.replace(forged, closed_form=image)
-        source = BOX_BY_NAME[forged.source]
+        source = BOXES[forged.source]
 
         def act(kind, quad):
-            if kind == forged.generator and source.matches(quad):
+            if kind == forged.generator and pattern_matches(source, quad):
                 return image(*quad)
             return act_quad(kind, quad)
 
@@ -250,7 +254,7 @@ class TestViolations:
         flags = [name == law for name in ("closed form", "target box", "norm", "b + d")]
         assert check.violations == tuple(40 * flag for flag in flags)
         assert not check.ok
-        source = BOX_BY_NAME[forged.source].pattern
+        source = BOXES[forged.source]
         assert check.counterexample == sample_matching(source, random.Random(5))
         payload = check.as_dict()
         assert payload["pass"] is False
@@ -268,7 +272,7 @@ class TestViolations:
         )
         check = verify_arrow(forged, 200, random.Random(8))
         rng = random.Random(8)
-        samples = [sample_matching(BOX_BY_NAME["B1"].pattern, rng) for _ in range(200)]
+        samples = [sample_matching(BOXES["B1"], rng) for _ in range(200)]
         breaking = [quad for quad in samples if quad[1] == 1]
         assert 0 < len(breaking) < 200
         assert check.violations == (len(breaking), 0, 0, 0)
@@ -284,7 +288,7 @@ class TestViolations:
         assert cert.violation == (
             f"step {steps}: arrow {forged.describe()} breaks the {law} law"
         )
-        assert not cert.nontrivial
+        assert not cert.trivial
         assert len(cert.boxes) == len(cert.norms) == steps
 
     def test_certificate_reports_a_missing_arrow(self, monkeypatch):
@@ -292,14 +296,18 @@ class TestViolations:
         cert = certify_nontrivial(parse_word("S1 S1", 2))
         assert cert.violation == "step 2: no sigma^-1 arrow out of B3"
         assert cert.boxes == ("B1", "B3")
-        assert not cert.nontrivial
+        assert not cert.trivial
         assert not verify_closure().ok
+
+
+def certified_nontrivial(cert):
+    return not cert.trivial and cert.violation is None
 
 
 class TestCertify:
     def test_single_crossing(self):
         cert = certify_nontrivial(parse_word("s1", 2))
-        assert cert.nontrivial
+        assert certified_nontrivial(cert)
         assert cert.image == (2, 0, 0, 3)
         assert cert.boxes == ("B1", "B2")
         assert cert.norms == (3, 5)
@@ -308,17 +316,20 @@ class TestCertify:
         cert = certify_nontrivial(parse_word("", 2))
         assert cert.trivial
         assert cert.image == (0, 2, 0, 1)
+        assert cert.boxes == ("B1",)
+        assert cert.norms == (3,)
+        assert cert.violation is None
 
     def test_single_virtual_letter(self):
         cert = certify_nontrivial(parse_word("r1", 2))
-        assert cert.nontrivial
+        assert certified_nontrivial(cert)
         assert cert.image == (0, 1, 0, 2)
         assert cert.boxes == ("B1", "B1")
         assert cert.norms == (3, 3)
 
     def test_conjugated_crossing(self):
         cert = certify_nontrivial(parse_word("s1 r1 S1", 2))
-        assert cert.nontrivial
+        assert certified_nontrivial(cert)
         assert cert.image != (0, 2, 0, 1)
         assert cert.boxes == ("B1", "B2", "B4", "B6")
 
@@ -355,11 +366,11 @@ class TestCertify:
         for _ in range(200):
             word = random_reduced_word(2, rng.randint(1, 40), rng)
             cert = certify_nontrivial(word)
-            assert [box.name for box in classify(cert.image)] == [cert.boxes[-1]]
+            assert classify(cert.image) == [cert.boxes[-1]]
 
     def test_alternate_start_vectors(self):
         cert = certify_nontrivial(parse_word("r1", 2), start=(0, 5, 0, 2))
-        assert cert.nontrivial
+        assert certified_nontrivial(cert)
         assert cert.image == (0, 2, 0, 5)
 
     @pytest.mark.parametrize(
