@@ -36,6 +36,11 @@ _SIGNS = {"0": (0,), "+": (1,), "-": (-1,), "+0": (0, 1), "-0": (-1, 0)}
 
 GENERATOR_NAMES = {SIGMA: "sigma", SIGMA_INV: "sigma^-1", RHO: "rho"}
 
+# Longest freely reduced word ``certify_nontrivial`` takes: a certificate
+# keeps the norm of every step, and the entries grow about linearly in bits,
+# so its memory is quadratic in the length.
+MAX_CERTIFY_LETTERS = 10**4
+
 SignPattern = tuple[str, str, str, str]
 
 
@@ -328,7 +333,8 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
     applied to ``start``, which must have the form (0, x, 0, y) with x and
     y distinct positive integers, and the certificate records the box path
     through the diagram together with the norm sequence, checking each step
-    against the arrow table.
+    against the arrow table.  A reduced word longer than
+    ``MAX_CERTIFY_LETTERS`` is a ValueError.
     """
     if word.strands != 2:
         raise ValueError("certification applies to words on exactly 2 strands")
@@ -338,6 +344,11 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
             "start vector must be (0, x, 0, y) with distinct positive x and y"
         )
     reduced = free_reduce(word)
+    if len(reduced.letters) > MAX_CERTIFY_LETTERS:
+        raise ValueError(
+            f"certification takes at most {MAX_CERTIFY_LETTERS} reduced letters, "
+            f"got {len(reduced.letters)}"
+        )
     trivial = not reduced.letters
     current = start
     boxes = [START_BOX]

@@ -31,10 +31,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Iterable
 
-from .action import apply_letters, base_vector, moved_probes
+from .action import Coordinates, apply_letters, base_vector, moved_probes
 from .words import (
     MAX_LETTERS,
     RHO,
@@ -85,12 +86,7 @@ class HuntConfig:
         if self.coefficient_bound < 1:
             raise ValueError("coefficient bound must be positive")
         if self.base is not None:
-            if not isinstance(self.base, tuple):
-                object.__setattr__(self, "base", tuple(self.base))
-            if len(self.base) != 2 * self.strands:
-                raise ValueError(
-                    f"base vector needs {2 * self.strands} entries, got {len(self.base)}"
-                )
+            object.__setattr__(self, "base", Coordinates(self.strands, self.base).entries)
 
     def length_range(self) -> tuple[int, int]:
         if isinstance(self.word_length, int):
@@ -180,9 +176,8 @@ def _rules(indices: Iterable[int]) -> dict[tuple[Letter, ...], tuple[tuple[Lette
     to any of its rewrites.
     """
     present = set(indices)
-    indices = sorted(present)
     relators: list[tuple[Letter, ...]] = []
-    for i in (i for i in indices if i + 1 in present):
+    for i in sorted(i for i in present if i + 1 in present):
         si, sj = Letter(SIGMA, i), Letter(SIGMA, i + 1)
         ti, tj = Letter(SIGMA_INV, i), Letter(SIGMA_INV, i + 1)
         ri, rj = Letter(RHO, i), Letter(RHO, i + 1)
@@ -190,33 +185,27 @@ def _rules(indices: Iterable[int]) -> dict[tuple[Letter, ...], tuple[tuple[Lette
         relators.append((ri, rj, ri, rj, ri, rj))  # virtual braid relation
         relators.append((ri, rj, si, rj, ri, tj))  # mixed relation
         relators.append((rj, ri, sj, ri, rj, ti))  # mixed relation, other form
-    for i, j in ((i, j) for i in indices for j in indices if j > i + 1):
-        for a in (Letter(SIGMA, i), Letter(SIGMA_INV, i), Letter(RHO, i)):
-            for b in (Letter(SIGMA, j), Letter(SIGMA_INV, j), Letter(RHO, j)):
-                relators.append((a, b, a.inverse(), b.inverse()))
     rules: dict[tuple[Letter, ...], set[tuple[Letter, ...]]] = {}
     for relator in relators:
         for variant in (relator, _inverted(relator)):
-            size = len(variant)
-            for shift in range(size):
+            for shift in range(6):
                 rotated = variant[shift:] + variant[:shift]
-                left = rotated[: size // 2]
-                right = _inverted(rotated[size // 2 :])
-                if left != right:
-                    rules.setdefault(left, set()).add(right)
+                rules.setdefault(rotated[:3], set()).add(_inverted(rotated[3:]))
     return {key: tuple(sorted(value)) for key, value in rules.items()}
 
 
 def relation_rules(strands: int) -> dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]]:
     """Length-preserving rewrite rules derived from the defining relators.
 
-    Every rotation of every defining relator of VB_strands (and of its
-    inverse) is split in half, giving rules u -> v with u = v in the group
-    and |u| = |v|.  Rewrites can therefore never grow a word, and together
-    with free reduction they shrink relator conjugates to nothing.  The
-    table has O(strands^2) keys; ``provably_trivial`` builds only the rules
-    over its word's own indices.
+    Every rotation of each braid, virtual and mixed relator of VB_strands
+    (and of its inverse) is split in half, giving rules u -> v between
+    three-letter blocks with u = v in the group.  Rewrites can therefore
+    never grow a word, and together with free reduction and far commutation
+    they shrink relator conjugates to nothing.  Far commutation is not in
+    the table, which has 26 (strands - 2) keys: ``provably_trivial`` applies
+    it as a swap, and builds only the rules over its word's own indices.
     """
+    check_strands(strands)
     return _rules(range(1, strands))
 
 
@@ -228,32 +217,40 @@ def provably_trivial(
 
     Sound but incomplete: a True answer certifies that the word is the
     identity element; False only means no certificate was found within
-    ``PROVER_NODES`` visited words.  The search applies free reduction and
-    the non-growing relation rules breadth first, on letter tuples.  With
-    ``rules`` omitted they are built over the word's own generator indices,
-    which gives the same answer as ``relation_rules(word.strands)``.
+    ``PROVER_NODES`` visited words.  The search is breadth first, on letter
+    tuples, and every rewrite is freely reduced.  From each word it first
+    swaps each adjacent pair of letters whose indices differ by two or more
+    (far commutation), in position order, then replaces each three-letter
+    block by the block's rules, in position order.  With ``rules`` omitted
+    they are built over the word's own generator indices, which gives the
+    same answer as ``relation_rules(word.strands)``.
     """
     start = _reduced(word.letters)
     if not start:
         return True
     if rules is None:
         rules = _rules(index for _, index in start)
-    widths = sorted({len(key) for key in rules})
     seen = {start}
     queue: deque[tuple[Letter, ...]] = deque([start])
     while queue and len(seen) < PROVER_NODES:
         current = queue.popleft()
-        for width in widths:
-            for position in range(len(current) - width + 1):
-                block = current[position : position + width]
-                for replacement in rules.get(block, ()):
-                    rewritten = current[:position] + replacement + current[position + width :]
-                    candidate = _reduced(rewritten)
-                    if not candidate:
-                        return True
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        queue.append(candidate)
+        swaps = (
+            current[:at] + (current[at + 1], current[at]) + current[at + 2 :]
+            for at in range(len(current) - 1)
+            if abs(current[at][1] - current[at + 1][1]) > 1
+        )
+        blocks = (
+            current[:at] + replacement + current[at + 3 :]
+            for at in range(len(current) - 2)
+            for replacement in rules.get(current[at : at + 3], ())
+        )
+        for rewritten in chain(swaps, blocks):
+            candidate = _reduced(rewritten)
+            if not candidate:
+                return True
+            if candidate not in seen:
+                seen.add(candidate)
+                queue.append(candidate)
     return False
 
 

@@ -200,6 +200,13 @@ class TestCertify:
         assert code == 1
         assert "start vector" in err
 
+    def test_a_word_over_the_certification_cap_exits_1(self, capsys):
+        cap = diagram.MAX_CERTIFY_LETTERS
+        code, out, err = run(capsys, "certify", "--word", f"s1^{cap + 1}")
+        assert code == 1
+        assert out == ""
+        assert f"at most {cap} reduced letters" in err
+
     def test_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.delitem(diagram._ARROW_FROM, ("B1", SIGMA))
         code, out, err = run(capsys, "certify", "--word", "r1 s1")

@@ -383,3 +383,17 @@ class TestCertify:
     def test_rejects_other_strand_counts(self):
         with pytest.raises(ValueError):
             certify_nontrivial(parse_word("s1", 3))
+
+    def test_rejects_a_reduced_word_over_the_cap(self):
+        cap = diagram.MAX_CERTIFY_LETTERS
+        with pytest.raises(ValueError, match=f"at most {cap} reduced letters, got {cap + 1}"):
+            certify_nontrivial(parse_word(f"s1^{cap + 1}", 2))
+        # Only the reduced length counts.
+        assert certified_nontrivial(certify_nontrivial(parse_word(f"s1^{cap} r1 r1 S1 s1", 2)))
+
+    def test_a_word_at_the_cap_certifies_in_bounded_memory(self, peak_traced_bytes):
+        word = random_reduced_word(2, diagram.MAX_CERTIFY_LETTERS, random.Random(41))
+        cert = certify_nontrivial(word)
+        assert certified_nontrivial(cert)
+        assert len(cert.norms) == diagram.MAX_CERTIFY_LETTERS + 1
+        assert peak_traced_bytes() < 16 * 2**20

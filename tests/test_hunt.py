@@ -4,16 +4,31 @@ import json
 import multiprocessing
 import os
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from vbraid.action import apply_letters, base_vector
-from vbraid.hunt import HuntConfig, hunt, moved_fraction, provably_trivial, relation_rules
+from vbraid.hunt import (
+    PROVER_NODES,
+    HuntConfig,
+    _rules,
+    hunt,
+    moved_fraction,
+    provably_trivial,
+    relation_rules,
+)
 from vbraid.words import (
     MAX_LETTERS,
     MAX_STRANDS,
+    RHO,
+    SIGMA,
+    SIGMA_INV,
     BraidWord,
+    Letter,
+    _inverted,
+    _reduced,
     format_word,
     free_reduce,
     inverse,
@@ -22,6 +37,89 @@ from vbraid.words import (
 )
 
 BETA = "s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1"
+
+
+def reference_rules(indices):
+    """The prover's rule table with far commutation stated as relators.
+
+    Next to the 6-letter relators of each adjacent index pair, every
+    rotation of the commutator of each far pair (and of its inverse) is
+    split in half.  The 2-letter keys are exactly the far pairs (x, y), each
+    with the one replacement (y, x).  The table has O(k^2) keys for k
+    indices.
+    """
+    present = set(indices)
+    indices = sorted(present)
+    relators = []
+    for i in (i for i in indices if i + 1 in present):
+        si, sj = Letter(SIGMA, i), Letter(SIGMA, i + 1)
+        ti, tj = Letter(SIGMA_INV, i), Letter(SIGMA_INV, i + 1)
+        ri, rj = Letter(RHO, i), Letter(RHO, i + 1)
+        relators.append((si, sj, si, tj, ti, tj))
+        relators.append((ri, rj, ri, rj, ri, rj))
+        relators.append((ri, rj, si, rj, ri, tj))
+        relators.append((rj, ri, sj, ri, rj, ti))
+    for i, j in ((i, j) for i in indices for j in indices if j > i + 1):
+        for a in (Letter(SIGMA, i), Letter(SIGMA_INV, i), Letter(RHO, i)):
+            for b in (Letter(SIGMA, j), Letter(SIGMA_INV, j), Letter(RHO, j)):
+                relators.append((a, b, a.inverse(), b.inverse()))
+    rules = {}
+    for relator in relators:
+        for variant in (relator, _inverted(relator)):
+            size = len(variant)
+            for shift in range(size):
+                rotated = variant[shift:] + variant[:shift]
+                left = rotated[: size // 2]
+                right = _inverted(rotated[size // 2 :])
+                if left != right:
+                    rules.setdefault(left, set()).add(right)
+    return {key: tuple(sorted(value)) for key, value in rules.items()}
+
+
+def reference_search(letters, budget):
+    """Breadth-first search over ``reference_rules`` of the word's indices,
+    block widths shortest first.  Returns (answer, nodes): for True, the
+    size of ``seen`` when the node that reached the empty word was taken;
+    for False, the final size of ``seen``, at least ``budget`` when the
+    budget cut the search off."""
+    start = _reduced(letters)
+    if not start:
+        return True, 0
+    rules = reference_rules(index for _, index in start)
+    widths = sorted({len(key) for key in rules})
+    seen = {start}
+    queue = deque([start])
+    while queue and len(seen) < budget:
+        taken = len(seen)
+        current = queue.popleft()
+        for width in widths:
+            for at in range(len(current) - width + 1):
+                for replacement in rules.get(current[at : at + width], ()):
+                    candidate = _reduced(current[:at] + replacement + current[at + width :])
+                    if not candidate:
+                        return True, taken
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        queue.append(candidate)
+    return False, len(seen)
+
+
+def conjugate_batch(per_strands):
+    """Seeded words on 3-8 strands: a random reduced word of 0-4 letters with
+    up to two conjugates of ``reference_rules`` relators inserted, far
+    commutators included."""
+    for strands in range(3, 9):
+        table = reference_rules(range(1, strands))
+        relators = [left + _inverted(right) for left, rights in table.items() for right in rights]
+        rng = random.Random(strands)
+        for _ in range(per_strands):
+            letters = random_reduced_word(strands, rng.randint(0, 4), rng).letters
+            for _ in range(rng.randint(0, 2)):
+                cut = rng.randint(0, len(letters))
+                conjugator = random_reduced_word(strands, rng.randint(0, 1), rng).letters
+                inserted = conjugator + rng.choice(relators) + _inverted(conjugator)
+                letters = letters[:cut] + inserted + letters[cut:]
+            yield BraidWord(strands, letters)
 
 
 class TestConfig:
@@ -182,10 +280,11 @@ class TestHunt:
     @pytest.mark.parametrize("strands", [3, 4, 5, 6])
     def test_word_indices_give_the_full_table_answer(self, strands):
         rules = relation_rules(strands)
-        # u v^-1 is a relator for every rule u -> v.
+        # u v^-1 is a relator for every rule u -> v; the reference table
+        # also holds the far commutators.
         relators = [
             left + inverse(BraidWord(strands, right)).letters
-            for left, rights in rules.items()
+            for left, rights in reference_rules(range(1, strands)).items()
             for right in rights
         ]
         rng = random.Random(strands)
@@ -230,6 +329,91 @@ class TestHunt:
         assert len(lines) == len(report.base_fixers)
         for line, fixer in zip(lines, report.base_fixers):
             assert json.loads(line)["word"] == fixer.word
+
+
+class TestRelationRules:
+    def test_keys_are_three_letter_blocks_26_per_adjacent_pair(self):
+        for strands in range(3, 31):
+            rules = relation_rules(strands)
+            assert len(rules) == 26 * (strands - 2)
+            assert {len(key) for key in rules} == {3}
+
+    @pytest.mark.parametrize("strands", [4, 6])
+    def test_the_reference_table_adds_exactly_the_far_swaps(self, strands):
+        reference = reference_rules(range(1, strands))
+        pairs = {key: rights for key, rights in reference.items() if len(key) == 2}
+        assert {key: rights for key, rights in reference.items() if len(key) == 3} == (
+            relation_rules(strands)
+        )
+        assert all(abs(x.index - y.index) > 1 for x, y in pairs)
+        assert all(rights == ((y, x),) for (x, y), rights in pairs.items())
+        # Three letters per index, both orders, for each far index pair.
+        assert len(pairs) == 18 * ((strands - 2) * (strands - 3) // 2)
+
+    def test_far_indices_build_no_rules(self):
+        # 100 indices 97 apart; with far commutators as relators this
+        # table had 89,100 keys.
+        assert _rules(1 + 97 * k for k in range(100)) == {}
+
+    def test_far_commutator_is_proved_by_a_swap(self):
+        word = parse_word("s1 r98 S1 r98", 100)
+        assert _rules(index for _, index in word.letters) == {}
+        assert provably_trivial(word)
+
+    @pytest.mark.parametrize("strands", [1, MAX_STRANDS + 1])
+    def test_rejects_a_strand_count_out_of_range(self, strands):
+        with pytest.raises(ValueError, match="strand count"):
+            relation_rules(strands)
+
+
+class TestProverReference:
+    """``provably_trivial`` against ``reference_search``, which states far
+    commutation as 2-letter rules: the same answers, and the same search
+    order wherever a node budget cuts it off."""
+
+    def test_answers_match_the_reference(self, monkeypatch):
+        budget = 2000
+        monkeypatch.setattr("vbraid.hunt.PROVER_NODES", budget)
+        answers = []
+        cut_off = 0
+        for word in conjugate_batch(40):
+            answer = provably_trivial(word)
+            reference, nodes = reference_search(word.letters, budget)
+            assert answer == reference == provably_trivial(word, relation_rules(word.strands))
+            cut_off += not reference and nodes >= budget
+            answers.append([word.strands, format_word(word), answer])
+        assert {answer for *_, answer in answers} == {True, False}
+        assert cut_off >= 2
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert digest == "c0bd8655cf82d26b1ca18baec92491d415ae0d6381209cc7c46d5029771f578a"
+
+    def test_the_search_order_matches_the_reference(self, monkeypatch):
+        # A word proved after taking the node at `nodes` seen words is
+        # proved under a budget of nodes + 1 and not under a budget of
+        # nodes, so each budget pins how far the search has got.
+        checked = 0
+        for word in conjugate_batch(40):
+            reference, nodes = reference_search(word.letters, 2000)
+            if reference and nodes:
+                monkeypatch.setattr("vbraid.hunt.PROVER_NODES", nodes)
+                assert not provably_trivial(word)
+                monkeypatch.setattr("vbraid.hunt.PROVER_NODES", nodes + 1)
+                assert provably_trivial(word)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize(
+        "strands, text",
+        [
+            (6, "s4 S2 S1 S2 s5 S1 r4 s1 r4 S5 s1 s2 s1 S4 S5"),
+            (8, "r7 r2 s1 r2 r1 S2 r1 r5 S1 s5 s1 S5 r5 r7 S3"),
+        ],
+    )
+    def test_the_default_budget_cuts_both_searches_off(self, strands, text):
+        word = parse_word(text, strands)
+        reference, nodes = reference_search(word.letters, PROVER_NODES)
+        assert not reference and nodes >= PROVER_NODES
+        assert not provably_trivial(word)
 
 
 class TestMovedFraction:

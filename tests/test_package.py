@@ -34,6 +34,28 @@ def test_plain_import_reaches_the_submodules_and_reexports_nothing():
     ]
 
 
+def test_import_loads_only_the_standard_library():
+    # The package declares no dependencies: importing it may load no
+    # third-party module.  multiprocessing registers the main module again
+    # as __mp_main__, which is not a new module.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vbraid\n"
+        "main = sys.modules['__main__']\n"
+        "new = {n.split('.')[0] for n, m in sys.modules.items() if n not in before and m is not main}\n"
+        "print(sorted(new - sys.stdlib_module_names))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert result.stdout == "['vbraid']\n"
+
+
 ROOT = SRC.parent
 
 
