@@ -104,15 +104,13 @@ class Coordinates:
         return cls(len(entries) // 2, entries)
 
     @classmethod
-    def from_csv(cls, text: str, strands: int | None = None) -> "Coordinates":
-        """Parse comma-separated entries; with ``strands`` given, the vector
-        must have exactly ``2 * strands`` entries."""
+    def from_csv(cls, text: str, strands: int) -> "Coordinates":
+        """Parse comma-separated entries; the vector must have exactly
+        ``2 * strands`` entries."""
         try:
             entries = tuple(int(part) for part in text.split(","))
         except ValueError:
             raise ValueError(f"not a comma-separated integer vector: {text!r}") from None
-        if strands is None:
-            return cls.from_entries(entries)
         return cls(strands, entries)
 
     def to_csv(self) -> str:
@@ -162,8 +160,8 @@ def moved_probes(
     lazily, so a caller that stops early leaves ``rng`` just past the last
     probe it saw.
     """
-    if bound < 0:
-        raise ValueError(f"probe bound must be nonnegative, got {bound}")
+    if bound < 1:
+        raise ValueError(f"probe bound must be positive, got {bound}")
     span = 2 * bound + 1
     bits = span.bit_length()
     getrandbits = rng.getrandbits

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation error, 2 verification failure (a
 failing diagram check, a certificate violation, or a hunt that leaves a
 kernel candidate; the hunt writes its report first).
-Every randomized subcommand requires an explicit --seed.
+Every randomized subcommand requires an explicit --seed; ``eq`` picks its
+decider from the words and is randomized only on virtual words of n >= 3.
 Output files (--out, --fixers-out, --json) are opened before the work
 starts, so an unwritable path fails at once with exit 1; an existing file
 keeps its bytes until the finished work replaces them.
@@ -18,9 +19,9 @@ import sys
 from random import Random
 
 from .action import Coordinates, act_word, base_vector
-from .diagram import certify_nontrivial, verify_diagram
+from .diagram import VB2_START, certify_nontrivial, verify_diagram
 from .hunt import HuntConfig, hunt, moved_fraction
-from .wordproblem import VB2_START, are_equal_bn, are_equal_vb2, distinguish_vbn
+from .wordproblem import are_equal_bn, are_equal_vb2, distinguish_vbn
 from .words import format_word, free_reduce, parse_word, permutation
 
 VALIDATION_ERROR = 1
@@ -66,13 +67,13 @@ def _cmd_act(args) -> int:
 def _cmd_eq(args) -> int:
     w1 = parse_word(args.w1, args.n)
     w2 = parse_word(args.w2, args.n)
-    if args.group == "bn":
-        verdict = are_equal_bn(w1, w2)
-    elif args.group == "vb2":
+    if args.n == 2:
         verdict = are_equal_vb2(w1, w2)
+    elif w1.is_classical() and w2.is_classical():
+        verdict = are_equal_bn(w1, w2)
     else:
         if args.seed is None:
-            raise ValueError("--seed is required for --group vbn")
+            raise ValueError("--seed is required for virtual words on 3 or more strands")
         verdict = distinguish_vbn(w1, w2, args.battery, Random(args.seed))
     print(verdict.status.value.capitalize())
     if verdict.witness:
@@ -107,10 +108,9 @@ def _cmd_hunt(args) -> int:
     )
     with _output(args.out) as out, _output(args.fixers_out) as fixers:
         report = hunt(config, workers=args.workers)
-        _write(out, report.to_json() + "\n")
+        _write(out, json.dumps(report.as_dict(), indent=2) + "\n")
         if fixers is not None:
-            text = report.fixers_jsonl()
-            _write(fixers, text + "\n" if text else "")
+            _write(fixers, "".join(json.dumps(f.as_dict()) + "\n" for f in report.base_fixers))
     print(
         f"tested {report.words_tested} words: {len(report.base_fixers)} distinct "
         f"base fixers, {len(report.kernel_candidates)} kernel candidates "
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     act.set_defaults(func=_cmd_act)
 
     eq = commands.add_parser("eq", help="test two words for equality")
-    eq.add_argument("--group", choices=("bn", "vb2", "vbn"), required=True)
     eq.add_argument("--n", type=int, required=True)
     eq.add_argument("--w1", required=True)
     eq.add_argument("--w2", required=True)

@@ -8,7 +8,8 @@ generator, each crossing step obeys a closed-form linear image map valid on
 its source region and strictly increases the L1 norm, and each virtual step
 permutes coordinates, preserving the norm.  A nonempty reduced word hence
 ends at a vector of larger norm, or at the pair-swapped start, and both
-differ from the start vector.
+differ from the start vector.  ``VB2_START`` = (0, 2, 0, 1) is such a
+vector, so its image decides equality in VB_2 (``wordproblem.are_equal_vb2``).
 
 Sign symbols are '0', '+', '-', '+0' and '-0', denoting zero, positive,
 negative, nonnegative and nonpositive entries, as the sign table ``_SIGNS``
@@ -28,7 +29,6 @@ from random import Random
 from typing import Callable
 
 from .action import Quad, act_quad
-from .wordproblem import VB2_START
 from .words import RHO, SIGMA, SIGMA_INV, BraidWord, free_reduce
 
 # The signs (x > 0) - (x < 0) of the entries x each symbol admits.
@@ -70,6 +70,7 @@ BOXES: dict[str, SignPattern] = {
 }
 
 START_BOX = "B1"
+VB2_START = (0, 2, 0, 1)  # a start vector in START_BOX
 
 
 def classify(quad: Quad) -> list[str]:

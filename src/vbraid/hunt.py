@@ -24,7 +24,6 @@ that replace these calls are pinned to them by the stream tests.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -52,6 +51,10 @@ from .words import (
 
 # Node budget of ``provably_trivial``: the distinct words it visits.
 PROVER_NODES = 50000
+# Memory budget of ``provably_trivial``: the letters of the words it stores.
+# Rewrites never lengthen a word, and a visit to a word of L <= 64 letters
+# stores at most 2L - 3 more, so on such words the node budget binds first.
+PROVER_LETTERS = 2**22
 
 
 @dataclass(frozen=True)
@@ -160,12 +163,6 @@ class HuntReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-    def fixers_jsonl(self) -> str:
-        return "\n".join(json.dumps(fixer.as_dict()) for fixer in self.base_fixers)
-
 
 def _rules(indices: Iterable[int]) -> dict[tuple[Letter, ...], tuple[tuple[Letter, ...], ...]]:
     """The rules of ``relation_rules`` for the defining relators whose
@@ -217,13 +214,14 @@ def provably_trivial(
 
     Sound but incomplete: a True answer certifies that the word is the
     identity element; False only means no certificate was found within
-    ``PROVER_NODES`` visited words.  The search is breadth first, on letter
-    tuples, and every rewrite is freely reduced.  From each word it first
-    swaps each adjacent pair of letters whose indices differ by two or more
-    (far commutation), in position order, then replaces each three-letter
-    block by the block's rules, in position order.  With ``rules`` omitted
-    they are built over the word's own generator indices, which gives the
-    same answer as ``relation_rules(word.strands)``.
+    ``PROVER_NODES`` visited words and ``PROVER_LETTERS`` stored letters.
+    The search is breadth first, on letter tuples, and every rewrite is
+    freely reduced.  From each word it first swaps each adjacent pair of
+    letters whose indices differ by two or more (far commutation), in
+    position order, then replaces each three-letter block by the block's
+    rules, in position order.  With ``rules`` omitted they are built over
+    the word's own generator indices, which gives the same answer as
+    ``relation_rules(word.strands)``.
     """
     start = _reduced(word.letters)
     if not start:
@@ -231,6 +229,7 @@ def provably_trivial(
     if rules is None:
         rules = _rules(index for _, index in start)
     seen = {start}
+    stored = len(start)  # letters held by ``seen``
     queue: deque[tuple[Letter, ...]] = deque([start])
     while queue and len(seen) < PROVER_NODES:
         current = queue.popleft()
@@ -251,6 +250,9 @@ def provably_trivial(
             if candidate not in seen:
                 seen.add(candidate)
                 queue.append(candidate)
+                stored += len(candidate)
+                if stored > PROVER_LETTERS:
+                    return False
     return False
 
 

@@ -3,10 +3,11 @@
 Equality of classical braid words is decided completely by comparing images
 of the base vector (0, 1, ..., 0, 1); the action separates distinct braids.
 On two strands the full virtual braid group is likewise separated by the
-vector (0, 2, 0, 1).  For three or more strands faithfulness of the action
-is an open question, so the general decider is sound but incomplete: it
-reports Distinct only with a concrete witness and otherwise answers Equal
-solely for letter-identical reduced words, else Unknown.
+vector ``diagram.VB2_START``, as that module proves.  For three or more
+strands faithfulness of the action is an open question, so the general
+decider is sound but incomplete: it reports Distinct only with a concrete
+witness and otherwise answers Equal solely for letter-identical reduced
+words, else Unknown.
 
 Every comparison acts only where the two words differ.  Split them as
 x m1 z and x m2 z, with x the longest common prefix and z the longest common
@@ -25,13 +26,12 @@ from dataclasses import dataclass
 from random import Random
 
 from .action import Coordinates, apply_letters, base_vector, moved_probes
+from .diagram import VB2_START
 from .words import BraidWord, _inverted, _reduced, format_word, free_reduce, permutation
 
 # The probe distribution for randomized batteries: entries uniform on
 # integers in [-BATTERY_BOUND, BATTERY_BOUND].
 BATTERY_BOUND = 100
-
-VB2_START = (0, 2, 0, 1)
 
 
 class Equality(enum.Enum):

@@ -24,7 +24,7 @@ RHO = 0
 
 _KINDS = (SIGMA, SIGMA_INV, RHO)
 _KIND_CHAR = {SIGMA: "s", SIGMA_INV: "S", RHO: "r"}
-_CHAR_KIND = {"s": SIGMA, "S": SIGMA_INV, "r": RHO}
+_CHAR_KIND = {char: kind for kind, char in _KIND_CHAR.items()}
 
 # Upper bound on the letters of a parsed word, checked before exponents
 # expand, so no word text can make the parser allocate without limit.
@@ -157,8 +157,8 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         count = exponent % 2 if kind == RHO else abs(exponent)
         if len(letters) + count > MAX_LETTERS:
             raise ParseError(position, token, f"word exceeds {MAX_LETTERS} letters")
-        # -RHO == RHO, so only crossings flip with a negative exponent.
-        letters.extend([Letter(kind if exponent > 0 else -kind, index)] * count)
+        letter = Letter(kind, index)
+        letters.extend([letter if exponent > 0 else letter.inverse()] * count)
     if strands is None:
         strands = max(2, max_index + 1)
     return BraidWord(strands, tuple(letters))
@@ -201,16 +201,11 @@ def inverse(word: BraidWord) -> BraidWord:
 @lru_cache(maxsize=64)
 def _alphabet(strands: int, virtual: bool) -> tuple[tuple[Letter, ...], tuple[int, ...]]:
     """The letters of ``random_reduced_word`` by alphabet id, and the id of
-    each letter's cancelling partner: sigma and its inverse swap slots, rho
-    cancels itself."""
-    per_index = 3 if virtual else 2
-    letters = []
-    partners = []
-    for position in range(strands - 1):
-        for slot in range(per_index):
-            letters.append(Letter(_KINDS[slot], position + 1))
-            partners.append(per_index * position + (1 - slot if slot < 2 else slot))
-    return tuple(letters), tuple(partners)
+    each letter's cancelling partner, its inverse."""
+    kinds = _KINDS if virtual else _KINDS[:2]
+    letters = tuple(Letter(kind, index) for index in range(1, strands) for kind in kinds)
+    ids = {letter: letter_id for letter_id, letter in enumerate(letters)}
+    return letters, tuple(ids[letter.inverse()] for letter in letters)
 
 
 def _reduced_letters(

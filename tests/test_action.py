@@ -226,14 +226,14 @@ class TestDefiningRelations:
 
 class TestCoordinates:
     def test_csv_roundtrip(self):
-        vector = Coordinates.from_csv("0,1,0,1")
+        vector = Coordinates.from_csv("0,1,0,1", 2)
         assert vector == base_vector(2)
         assert vector.to_csv() == "0,1,0,1"
 
     def test_csv_negative_values(self):
         vector = Coordinates.from_entries((85, 49, -90, -47))
         assert vector.to_csv() == "85,49,-90,-47"
-        assert Coordinates.from_csv(vector.to_csv()) == vector
+        assert Coordinates.from_csv(vector.to_csv(), 2) == vector
 
     def test_csv_with_strand_count(self):
         assert Coordinates.from_csv("0,1,0,1", 2) == base_vector(2)
@@ -260,7 +260,7 @@ class TestCoordinates:
         with pytest.raises(ValueError):
             Coordinates.from_entries((1, 2, 3))
         with pytest.raises(ValueError):
-            Coordinates.from_csv("1,2,x,4")
+            Coordinates.from_csv("1,2,x,4", 2)
 
 
 class TestProbeStream:
@@ -287,5 +287,6 @@ class TestProbeStream:
         assert rng.random() == reference.random()
 
     def test_negative_bound_is_rejected(self):
-        with pytest.raises(ValueError):
-            next(moved_probes((), 4, 1, -1, random.Random(0)))
+        for bound in (-1, 0):  # a zero bound draws only the zero vector
+            with pytest.raises(ValueError, match="positive"):
+                next(moved_probes((), 4, 1, bound, random.Random(0)))

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +13,14 @@ import vbraid.cli
 from vbraid import diagram
 from vbraid.cli import main
 from vbraid.hunt import HuntReport
-from vbraid.words import MAX_STRANDS, SIGMA
+from vbraid.words import (
+    MAX_STRANDS,
+    SIGMA,
+    BraidWord,
+    format_word,
+    parse_word,
+    random_reduced_word,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
@@ -57,12 +68,60 @@ class TestAct:
         assert "entries" in err
 
 
+def eq_pairs():
+    """A fixed batch of (n, w1, w2): 2-strand, classical and virtual words on
+    2-5 strands, paired with themselves, with an independent word, with a
+    relator inserted and with one letter inverted."""
+    rng = random.Random(20261018)
+    pairs = []
+    for n in (2, 3, 4, 5):
+        relators = [f"s{i} s{i+1} s{i} S{i+1} S{i} S{i+1}" for i in range(1, n - 1)]
+        relators += [f"s{i} s{j} S{i} S{j}" for i in range(1, n) for j in range(i + 2, n)]
+        relators += [f"r{i} r{i+1} s{i} r{i+1} r{i} S{i+1}" for i in range(1, n - 1)]
+        relators += [f"s{i} r{j} S{i} r{j}" for i in range(1, n) for j in range(i + 2, n)]
+        relators += [f"S{i} s{i}" for i in range(1, n)] + [f"r{i} r{i}" for i in range(1, n)]
+        for virtual in (False, True):
+            usable = [r for r in relators if virtual or "r" not in r]
+            for case in range(12):
+                w1 = random_reduced_word(n, rng.randint(0, 12), rng, virtual=virtual)
+                if case % 4 == 0:
+                    w2 = w1
+                elif case % 4 == 1:
+                    w2 = random_reduced_word(n, rng.randint(0, 12), rng, virtual=virtual)
+                elif case % 4 == 2:
+                    cut = rng.randint(0, len(w1))
+                    inserted = parse_word(rng.choice(usable), n).letters
+                    w2 = BraidWord(n, w1.letters[:cut] + inserted + w1.letters[cut:])
+                else:
+                    letters = list(w1.letters) or [parse_word("s1", n).letters[0]]
+                    at = rng.randrange(len(letters))
+                    letters[at] = letters[at].inverse()
+                    w2 = BraidWord(n, tuple(letters))
+                pairs.append((n, format_word(w1), format_word(w2)))
+    return pairs
+
+
 class TestEq:
+    def test_outputs_match_pin(self, capsys):
+        # Computed with the decider named by the words: --group vb2 on 2
+        # strands, bn for classical words, vbn (seeded) otherwise.  The batch
+        # gives 50 Equal, 43 Distinct and 3 Unknown verdicts.
+        digest = hashlib.sha256()
+        for k, (n, w1, w2) in enumerate(eq_pairs()):
+            argv = ["eq", "--n", str(n), "--w1", w1, "--w2", w2, "--battery", "50"]
+            if n > 2 and "r" in w1 + w2:
+                argv += ["--seed", str(k)]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "0ae33eefac617d8d7d98d44403fe2e054f5781fbffea5c991f57c35a90186d98"
+        )
+
     def test_vbn_forbidden_relation(self, capsys):
         code, out, _ = run(
             capsys,
-            "eq", "--group", "vbn", "--n", "3",
-            "--w1", "r1 s2 s1", "--w2", "s2 s1 r2", "--seed", "4",
+            "eq", "--n", "3", "--w1", "r1 s2 s1", "--w2", "s2 s1 r2", "--seed", "4",
         )
         assert code == 0
         lines = out.splitlines()
@@ -71,53 +130,62 @@ class TestEq:
 
     def test_bn_braid_relation(self, capsys):
         code, out, _ = run(
-            capsys,
-            "eq", "--group", "bn", "--n", "3", "--w1", "s1 s2 s1", "--w2", "s2 s1 s2",
+            capsys, "eq", "--n", "3", "--w1", "s1 s2 s1", "--w2", "s2 s1 s2"
         )
+        assert code == 0
+        assert out.splitlines()[0] == "Equal"
+        assert "separates distinct braids" in out
+
+    def test_vb2(self, capsys):
+        code, out, _ = run(capsys, "eq", "--n", "2", "--w1", "r1 r1", "--w2", "")
         assert code == 0
         assert out.splitlines()[0] == "Equal"
 
-    def test_vb2(self, capsys):
-        code, out, _ = run(
-            capsys, "eq", "--group", "vb2", "--n", "2", "--w1", "r1 r1", "--w2", ""
-        )
+    def test_two_strand_virtual_pair_is_decided(self, capsys):
+        code, out, _ = run(capsys, "eq", "--n", "2", "--w1", "r1", "--w2", "")
         assert code == 0
-        assert out.splitlines()[0] == "Equal"
+        assert out.splitlines() == [
+            "Distinct",
+            "witness: vector 0,2,0,1 is moved differently",
+            "images: 0,1,0,2 vs 0,2,0,1",
+        ]
 
     def test_vbn_unknown(self, capsys):
         # conjugation by a virtual letter: not freely equal, agrees everywhere tested
         code, out, _ = run(
             capsys,
-            "eq", "--group", "vbn", "--n", "3",
-            "--w1", "r2 s1 r2", "--w2", "r2 s1 r2 r1 r1",
+            "eq", "--n", "3", "--w1", "r2 s1 r2", "--w2", "r2 s1 r2 r1 r1",
             "--battery", "50", "--seed", "8",
         )
         assert code == 0
         assert out.splitlines()[0] in {"Equal", "Unknown"}
 
+    def test_classical_pair_needs_no_seed(self, capsys):
+        code, out, _ = run(capsys, "eq", "--n", "3", "--w1", "s1", "--w2", "s2")
+        assert code == 0
+        assert out.splitlines()[0] == "Distinct"
+
     def test_vbn_requires_seed(self, capsys):
-        code, _, err = run(
-            capsys, "eq", "--group", "vbn", "--n", "3", "--w1", "s1", "--w2", "s2"
-        )
+        code, out, err = run(capsys, "eq", "--n", "3", "--w1", "r1", "--w2", "r2")
         assert code == 1
+        assert out == ""
         assert "--seed" in err
 
     def test_vbn_negative_battery_exits_1(self, capsys):
         code, out, err = run(
             capsys,
-            "eq", "--group", "vbn", "--n", "3", "--w1", "s1 s2 s1", "--w2", "s2 s1 s2",
+            "eq", "--n", "3", "--w1", "r1 s2 s1", "--w2", "s2 s1 r2",
             "--battery", "-5", "--seed", "1",
         )
         assert code == 1
         assert out == ""
         assert "battery" in err
 
-    def test_bn_rejects_virtual_letters(self, capsys):
-        code, _, err = run(
-            capsys, "eq", "--group", "bn", "--n", "2", "--w1", "r1", "--w2", ""
-        )
-        assert code == 1
-        assert "virtual" in err
+    def test_group_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eq", "--group", "bn", "--n", "3", "--w1", "s1", "--w2", "s1"])
+        assert info.value.code == 1
+        assert "--group" in capsys.readouterr().err
 
 
 class TestSmallCommands:
@@ -155,6 +223,14 @@ class TestSmallCommands:
             capsys, "moved-fraction", "--word", "s1", "--bound", "-1", "--seed", "1"
         )
         assert code == 1
+
+    def test_zero_probe_bound_exits_1(self, capsys):
+        # every probe would be the zero vector, which every word fixes
+        code, out, err = run(
+            capsys, "moved-fraction", "--word", "s1", "--bound", "0", "--seed", "1"
+        )
+        assert (code, out) == (1, "")
+        assert "probe bound must be positive" in err
 
     def test_reduce_partial(self, capsys):
         code, out, _ = run(capsys, "reduce", "--n", "3", "--word", "s1 r2 r2 s2")
@@ -423,3 +499,21 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 1
+
+
+class TestReadme:
+    def test_every_command_line_parses(self, capsys):
+        # Flags only: each `vbraid` line of the README's sh blocks is parsed,
+        # never run, so a renamed or removed flag fails here.
+        text = (SRC.parent / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line, comments=True) for line in lines]
+        commands = [tokens[1:] for tokens in commands if tokens[:1] == ["vbraid"]]
+        assert len(commands) >= 13
+        parser = vbraid.cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"vbraid {shlex.join(argv)}: {capsys.readouterr().err}")

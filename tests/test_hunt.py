@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from vbraid.action import apply_letters, base_vector
+from vbraid.cli import main
 from vbraid.hunt import (
     PROVER_NODES,
     HuntConfig,
@@ -317,18 +318,18 @@ class TestHunt:
         report = hunt(config)
         assert report.base_fixers == ()
 
-    def test_report_round_trips_to_json(self):
-        import json
-
-        report = hunt(HuntConfig(3, (1, 10), 500, seed=3))
-        payload = json.loads(report.to_json())
-        assert payload["words_tested"] == 500
-        assert payload["config"]["seed"] == 3
+    def test_report_round_trips_to_json(self, tmp_path):
+        # The files `vbraid hunt` writes hold the library's report and fixers.
+        out, fixers = tmp_path / "report.json", tmp_path / "fixers.jsonl"
+        argv = ["hunt", "--n", "3", "--count", "500", "--length", "1:10", "--seed", "3"]
+        assert main([*argv, "--out", str(out), "--fixers-out", str(fixers)]) == 0
+        report = hunt(HuntConfig(3, (1, 10), 500, seed=3)).as_dict()
+        payload = json.loads(out.read_text())
         assert payload["seed_partition"]["scheme"] == "per word index"
-        lines = report.fixers_jsonl().splitlines()
-        assert len(lines) == len(report.base_fixers)
-        for line, fixer in zip(lines, report.base_fixers):
-            assert json.loads(line)["word"] == fixer.word
+        del payload["runtime_seconds"], report["runtime_seconds"]
+        assert payload == report
+        lines = fixers.read_text().splitlines()
+        assert lines and [json.loads(line) for line in lines] == report["base_fixers"]
 
 
 class TestRelationRules:
@@ -414,6 +415,13 @@ class TestProverReference:
         reference, nodes = reference_search(word.letters, PROVER_NODES)
         assert not reference and nodes >= PROVER_NODES
         assert not provably_trivial(word)
+
+    def test_a_long_word_stays_within_the_letter_budget(self, peak_traced_bytes):
+        # Under the node budget alone the search would keep about 50,000
+        # rewrites of 10^4 letters each; PROVER_LETTERS stops it first.
+        word = random_reduced_word(3, 10**4, random.Random(7))
+        assert not provably_trivial(word)
+        assert peak_traced_bytes() < 64 * 2**20
 
 
 class TestMovedFraction:
