@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .words import RHO, SIGMA, SIGMA_INV, BraidWord, Letter, check_strands
+from .words import RHO, SIGMA, SIGMA_INV, BraidWord, Letter, cancels, check_strands
 
 Quad = tuple[int, int, int, int]
 
@@ -159,9 +159,20 @@ def moved_probes(
     and the rng state match the ``randint`` stream exactly.  Probes are drawn
     lazily, so a caller that stops early leaves ``rng`` just past the last
     probe it saw.
+
+    The letters are split once as x m x^-1, with x the longest prefix whose
+    mirror-image suffix cancels it letter by letter, stopping before the
+    two overlap.  x^-1 acts as a bijection, so p.x.m.x^-1 = p exactly when
+    p.x.m = p.x: each probe crosses x once and m once, and the same probes
+    are yielded as by acting with the whole word.
     """
     if bound < 1:
         raise ValueError(f"probe bound must be positive, got {bound}")
+    last = len(letters) - 1
+    peel = 0
+    while 2 * peel < last and cancels(letters[peel], letters[last - peel]):
+        peel += 1
+    head, core = letters[:peel], letters[peel : len(letters) - peel]
     span = 2 * bound + 1
     bits = span.bit_length()
     getrandbits = rng.getrandbits
@@ -172,7 +183,8 @@ def moved_probes(
             while r >= span:
                 r = getrandbits(bits)
             probe.append(r - bound)
-        if apply_letters(probe, letters) != probe:
+        shared = apply_letters(probe, head)
+        if apply_letters(shared, core) != shared:
             yield probe
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 validation error, 2 verification failure (a
 failing diagram check, a certificate violation, or a hunt that leaves a
 kernel candidate; the hunt writes its report first).
 Every randomized subcommand requires an explicit --seed; ``eq`` picks its
-decider from the words and is randomized only on virtual words of n >= 3.
+decider from the words and is randomized only on virtual words of n >= 3
+with --battery > 0.
 Output files (--out, --fixers-out, --json) are opened before the work
 starts, so an unwritable path fails at once with exit 1; an existing file
 keeps its bytes until the finished work replaces them.
@@ -72,9 +73,10 @@ def _cmd_eq(args) -> int:
     elif w1.is_classical() and w2.is_classical():
         verdict = are_equal_bn(w1, w2)
     else:
-        if args.seed is None:
-            raise ValueError("--seed is required for virtual words on 3 or more strands")
-        verdict = distinguish_vbn(w1, w2, args.battery, Random(args.seed))
+        if args.seed is None and args.battery > 0:
+            raise ValueError("--seed is required for the probe battery (--battery > 0)")
+        rng = None if args.seed is None else Random(args.seed)
+        verdict = distinguish_vbn(w1, w2, args.battery, rng)
     print(verdict.status.value.capitalize())
     if verdict.witness:
         print(f"witness: {verdict.witness}")

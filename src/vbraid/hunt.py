@@ -226,8 +226,12 @@ def provably_trivial(
     start = _reduced(word.letters)
     if not start:
         return True
+    indices = {index for _, index in start}
     if rules is None:
-        rules = _rules(index for _, index in start)
+        rules = _rules(indices)
+    # Rewrites keep to the word's own indices, so no far pair can ever occur
+    # when they span at most one.
+    far = max(indices) - min(indices) > 1
     seen = {start}
     stored = len(start)  # letters held by ``seen``
     queue: deque[tuple[Letter, ...]] = deque([start])
@@ -235,7 +239,7 @@ def provably_trivial(
         current = queue.popleft()
         swaps = (
             current[:at] + (current[at + 1], current[at]) + current[at + 2 :]
-            for at in range(len(current) - 1)
+            for at in range(len(current) - 1 if far else 0)
             if abs(current[at][1] - current[at + 1][1]) > 1
         )
         blocks = (

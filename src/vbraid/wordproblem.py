@@ -16,7 +16,9 @@ p.x.m1.z = p.x.m2.z exactly when p.x.m1 = p.x.m2: x is applied once and z
 only to build the witness images of a Distinct verdict.  Free reduction
 never changes the action (a cancelled pair is the identity), so the battery
 runs on the freely reduced quotient w1 w2^-1 and moves the same probes as
-the unreduced one.
+the unreduced one.  ``action.moved_probes`` splits that quotient once as
+x m x^-1 and applies each probe to x once: p.x.m.x^-1 = p exactly when
+p.x.m = p.x.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def distinguish_vbn(
     vectors is.  Returns Equal only for letter-identical reduced words or
     on two strands, where the complete decider applies.  Otherwise Unknown:
     for three or more strands no faithful vector is known.  A negative
-    ``battery`` is a ValueError.
+    ``battery`` is a ValueError; ``rng`` may be None only when ``battery``
+    is 0, which draws no probe.
     """
     if w1.strands != w2.strands:
         raise ValueError(f"strand counts differ: {w1.strands} vs {w2.strands}")
@@ -172,13 +175,14 @@ def distinguish_vbn(
     if verdict is not None:
         return verdict
 
-    if battery > 0 and rng is None:
-        raise ValueError("a seeded Random is required for the probe battery")
-    # The action is a bijection: p.w1 != p.w2 exactly when w1 w2^-1 moves p.
-    quotient = _reduced(w1.letters + _inverted(w2.letters))
-    probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
-    if probe is not None:
-        return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
+    if battery > 0:
+        if rng is None:
+            raise ValueError("a seeded Random is required for the probe battery")
+        # The action is a bijection: p.w1 != p.w2 exactly when w1 w2^-1 moves p.
+        quotient = _reduced(w1.letters + _inverted(w2.letters))
+        probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
+        if probe is not None:
+            return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
     return Verdict(
         Equality.UNKNOWN,
         witness=f"agree on the strand permutation, the base vector and "

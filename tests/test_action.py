@@ -22,6 +22,8 @@ from vbraid.words import (
     SIGMA_INV,
     BraidWord,
     Letter,
+    free_reduce,
+    inverse,
     parse_word,
     random_reduced_word,
 )
@@ -263,8 +265,55 @@ class TestCoordinates:
             Coordinates.from_csv("1,2,x,4", 2)
 
 
+BETA = parse_word("s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1", 3)
+SECOND = parse_word("S2 s1 r2 s2 s1 S2 r2 s1 r2 s2 r1 S2 r1 S1 S2 r2 S1 s2", 3)
+
+
+def whole_word_probes(letters, width, count, bound, rng):
+    """The battery by definition: randint draws, each probe acted on by the
+    whole word."""
+    probes = [[rng.randint(-bound, bound) for _ in range(width)] for _ in range(count)]
+    return [p for p in probes if apply_letters(p, letters) != p]
+
+
+def battery_words():
+    """(width, letters) of words the battery splits as x m x^-1 in every way:
+    long conjugators, unreduced ones, an empty core, a core that a cancelling
+    pair must keep, and none at all."""
+    rng = random.Random(606)
+    x = random_reduced_word(3, 6, rng)
+    words = [
+        (6, BETA.letters),
+        (6, SECOND.letters),
+        (6, free_reduce(BETA * BETA * BETA).letters),
+        (6, (x * inverse(x)).letters),
+        (4, parse_word("s1 S1", 2).letters),
+        (4, parse_word("r1 r1 r1", 2).letters),
+        (6, parse_word("s2", 3).letters),
+        (6, ()),
+    ]
+    for n in range(2, 6):
+        for size in range(9):
+            x = random_reduced_word(n, size, rng)
+            m = random_reduced_word(n, rng.randint(0, 8), rng)
+            words.append((2 * n, (x * m * inverse(x)).letters))
+    return words
+
+
 class TestProbeStream:
     """Probes and the rng state after them are those of the randint stream."""
+
+    @pytest.mark.parametrize("bound", [1, 100])
+    def test_matches_the_whole_word_battery(self, bound):
+        moved = 0
+        for seed, (width, letters) in enumerate(battery_words()):
+            rng = random.Random(seed)
+            reference = random.Random(seed)
+            expected = whole_word_probes(letters, width, 100, bound, reference)
+            assert list(moved_probes(letters, width, 100, bound, rng)) == expected
+            assert rng.random() == reference.random()
+            moved += len(expected)
+        assert moved > 0
 
     @pytest.mark.parametrize("bound", [1, 2, 100, 2**40])
     def test_matches_randint_stream(self, bound):

@@ -171,6 +171,33 @@ class TestEq:
         assert out == ""
         assert "--seed" in err
 
+    def test_vbn_battery_requires_seed(self, capsys):
+        code, out, err = run(
+            capsys, "eq", "--n", "3", "--w1", "r1", "--w2", "r2", "--battery", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
+
+    def test_vbn_without_battery_needs_no_seed(self, capsys):
+        code, out, err = run(
+            capsys, "eq", "--n", "3", "--w1", "r1", "--w2", "r2", "--battery", "0"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["Distinct", "witness: strand permutations differ"]
+
+    def test_vbn_unknown_without_battery_needs_no_seed(self, capsys):
+        # r1 r2 s1 r2 r1 = s2 by the mixed relation: nothing but a battery
+        # could tell the two words apart, and none is drawn
+        code, out, err = run(
+            capsys,
+            "eq", "--n", "3", "--w1", "r1 r2 s1 r2 r1", "--w2", "s2", "--battery", "0",
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "Unknown"
+        assert "0 random probes" in lines[1]
+
     def test_vbn_negative_battery_exits_1(self, capsys):
         code, out, err = run(
             capsys,

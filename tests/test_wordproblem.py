@@ -5,7 +5,8 @@ import random
 import pytest
 
 from vbraid import action, wordproblem
-from vbraid.action import Coordinates, act_word, apply_letters, base_vector, moved_probes
+from vbraid.action import Coordinates, act_word, apply_letters, base_vector
+from vbraid.hunt import moved_fraction
 from vbraid.wordproblem import (
     BATTERY_BOUND,
     VB2_START,
@@ -136,6 +137,13 @@ class TestVbn:
         with pytest.raises(ValueError):
             distinguish_vbn(beta, gamma, 10, None)
 
+    def test_an_empty_battery_needs_no_rng(self):
+        beta = parse_word("r1 r2 r1", 3)
+        gamma = parse_word("r2 r1 r2", 3)
+        verdict = distinguish_vbn(beta, gamma, 0, None)
+        assert verdict.status is Equality.UNKNOWN
+        assert "0 random probes" in verdict.witness
+
     def test_negative_battery_is_rejected(self):
         w1 = parse_word("s1 s2 s1", 3)
         w2 = parse_word("s2 s1 s2", 3)
@@ -222,10 +230,12 @@ class TestSoundness:
 # ---------------------------------------------------------------------------
 # Acting on the differing part only must give the verdicts of acting on the
 # whole words.  The reference below acts on both full words for every
-# comparison and runs the battery on the unreduced w1 * inverse(w2).
+# comparison and runs the battery on the unreduced w1 * inverse(w2), with
+# its own randint draws.
 
 BETA = parse_word("s1 r2 s1 S2 s1 s2 S1 r1 s2 r1 s1 r2 S1 r2 S2 S1 s2 S1 r2 S1", 3)
 BETA_CUBED = BETA * BETA * BETA
+SECOND = parse_word("S2 s1 r2 s2 s1 S2 r2 s1 r2 s2 r1 S2 r1 S1 S2 r2 S1 s2", 3)
 CASE_BATTERY = 200
 
 
@@ -242,6 +252,16 @@ def whole_word_distinct_on(probe, w1, w2):
     )
 
 
+def first_moved_probe(letters, width, battery, rng):
+    """(probe, probes drawn): the battery by definition, the whole word acting
+    on each probe of the randint stream until one is moved."""
+    for drawn in range(1, battery + 1):
+        probe = [rng.randint(-BATTERY_BOUND, BATTERY_BOUND) for _ in range(width)]
+        if apply_letters(probe, letters) != probe:
+            return probe, drawn
+    return None, battery
+
+
 def whole_word_decision(group, w1, w2, battery, rng):
     if group == "vbn" and free_reduce(w1).letters == free_reduce(w2).letters:
         return Verdict(Equality.EQUAL, witness="identical words after free reduction")
@@ -255,7 +275,7 @@ def whole_word_decision(group, w1, w2, battery, rng):
         if verdict is not None:
             return verdict
         quotient = (w1 * inverse(w2)).letters
-        probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
+        probe, _ = first_moved_probe(quotient, 2 * w1.strands, battery, rng)
         if probe is not None:
             return whole_word_distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
         return Verdict(
@@ -423,3 +443,27 @@ class TestWorkDone:
             # only the battery can tell the words apart; it rarely does.
             assert verdict.status is not Equality.EQUAL
             assert counter.calls and max(counter.calls) <= limit
+
+    def test_battery_probes_cross_the_conjugator_once(self, monkeypatch):
+        # BETA = x m x^-1 with |x| = 6, |m| = 8; SECOND with |x| = 5, |m| = 8.
+        samples = 300
+        for word, letters in ((BETA, 6 + 8), (SECOND, 5 + 8)):
+            counter = LetterCounter(action.apply_letters)
+            monkeypatch.setattr(action, "apply_letters", counter)
+            moved_fraction(word, samples, BATTERY_BOUND, random.Random(5))
+            monkeypatch.undo()
+            assert sum(counter.calls) == letters * samples
+
+    def test_battery_crosses_the_conjugator_of_the_quotient_once(self, monkeypatch):
+        # The reduced quotient of beta^3 w and w is the 36-letter reduced
+        # beta^3 = x m x^-1 with |x| = 6, so each probe acts on 30 letters.
+        quotient = free_reduce(BETA_CUBED).letters
+        rng = random.Random(3)
+        for index in range(6):
+            word = random_reduced_word(3, rng.randint(10, 30), rng)
+            counter = LetterCounter(action.apply_letters)
+            monkeypatch.setattr(action, "apply_letters", counter)
+            distinguish_vbn(BETA_CUBED * word, word, 1000, random.Random(index))
+            monkeypatch.undo()
+            _, drawn = first_moved_probe(quotient, 6, 1000, random.Random(index))
+            assert 0 < sum(counter.calls) <= 30 * drawn
