@@ -7,13 +7,11 @@ x+ = max(x, 0) and x- = min(x, 0), the positive crossing acts by
 
     (a, b, c, d) -> (a + b+ + (d+ - e)+,  d - e+,  c + d- + (b- + e)-,  b + e+)
 
-with e = a - b- - c + d+; the inverse crossing acts by
-
-    (a, b, c, d) -> (a - b+ - (d+ + f)+,  d + f-,  c - d- - (b- - f)-,  b - f-)
-
-with f = a + b- - c - d+; the virtual crossing swaps the two pairs,
-(a, b, c, d) -> (c, d, a, b).  Words act on the right: the leftmost letter
-is applied first.
+with e = a - b- - c + d+.  The inverse crossing is its mirror image: it is
+M o sigma o M with M(a, b, c, d) = (-a, b, -c, d), so it replaces a - c by
+c - a in e and subtracts, rather than adds, the two terms added to a and c.
+The virtual crossing swaps the two pairs, (a, b, c, d) -> (c, d, a, b).
+Words act on the right: the leftmost letter is applied first.
 
 All arithmetic is exact.  Entries are unbounded Python integers; iterated
 crossings grow coordinates without bound and no fixed-width type is safe.
@@ -31,32 +29,18 @@ Quad = tuple[int, int, int, int]
 
 
 def _cross(kind: int, a: int, b: int, c: int, d: int) -> Quad:
-    """The crossing formulas of the module docstring; kind is SIGMA or SIGMA_INV."""
-    bp = b if b > 0 else 0
+    """The positive crossing of the module docstring; its mirror for SIGMA_INV."""
     bm = b if b < 0 else 0
     dp = d if d > 0 else 0
-    dm = d if d < 0 else 0
+    e = (a - c if kind == SIGMA else c - a) - bm + dp
+    ep = e if e > 0 else 0
+    u = dp - e
+    w = bm + e
+    s = (b if b > 0 else 0) + (u if u > 0 else 0)
+    t = (d if d < 0 else 0) + (w if w < 0 else 0)
     if kind == SIGMA:
-        e = a - bm - c + dp
-        ep = e if e > 0 else 0
-        u = dp - e
-        w = bm + e
-        return (
-            a + bp + (u if u > 0 else 0),
-            d - ep,
-            c + dm + (w if w < 0 else 0),
-            b + ep,
-        )
-    f = a + bm - c - dp
-    fm = f if f < 0 else 0
-    u = dp + f
-    w = bm - f
-    return (
-        a - bp - (u if u > 0 else 0),
-        d + fm,
-        c - dm - (w if w < 0 else 0),
-        b - fm,
-    )
+        return (a + s, d - ep, c + t, b + ep)
+    return (a - s, d - ep, c - t, b + ep)
 
 
 def act_sigma(quad: Quad) -> Quad:

@@ -20,6 +20,11 @@ This module encodes the nine boxes and the nineteen arrows (fourteen
 crossing arrows plus five virtual ones), checks every arrow on randomized
 region samples, checks the diagram's closure combinatorially, and traces
 certified paths for concrete words.
+
+The inverse crossing is the positive one mirrored by M(a, b, c, d) =
+(-a, b, -c, d), which fixes B1 and swaps B2/B3, B4/B5, B6/B7 and B8/B9: the
+fourteen crossing arrows are the seven mirror pairs (sigma^-1 arrow, sigma
+arrow) (1, 2), (3, 4), (5, 6), (8, 7), (9, 12), (10, 13) and (14, 11).
 """
 
 from __future__ import annotations

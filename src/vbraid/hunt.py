@@ -24,7 +24,6 @@ that replace these calls are pinned to them by the stream tests.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import deque
@@ -315,6 +314,7 @@ def hunt(config: HuntConfig, workers: int = 1) -> HuntReport:
         ranges = [
             (config, lo, min(lo + chunk, count)) for lo in range(0, count, chunk)
         ]
+        import multiprocessing  # here, so that `import vbraid` does not load it
         with multiprocessing.Pool(workers) as pool:
             partials = pool.starmap(_scan_range, ranges)
 

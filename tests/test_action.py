@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from vbraid.action import (
     even_sum,
     moved_probes,
 )
+from vbraid.diagram import VB2_START
 from vbraid.words import (
     MAX_STRANDS,
     RHO,
@@ -71,6 +73,49 @@ class TestQuadActions:
     def test_unfaithful_fixed_point(self):
         # the action may fix vectors outside the certified family
         assert act_sigma((0, 0, 0, 1)) == (0, 0, 0, 1)
+
+
+def reference_sigma_inv(quad):
+    """The inverse crossing written out on its own, with f = a + b- - c - d+:
+    the reference that the action's mirror form must match."""
+    a, b, c, d = quad
+    bp, bm = max(b, 0), min(b, 0)
+    dp, dm = max(d, 0), min(d, 0)
+    f = a + bm - c - dp
+    return (
+        a - bp - max(dp + f, 0),
+        d + min(f, 0),
+        c - dm - min(bm - f, 0),
+        b - min(f, 0),
+    )
+
+
+GRID = list(itertools.product(range(-6, 7), repeat=4))
+
+
+def random_quads(bits, count, seed):
+    rng = random.Random(seed)
+    return [
+        tuple(rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(4))
+        for _ in range(count)
+    ]
+
+
+class TestInverseCrossingReference:
+    def test_grid(self):
+        assert len(GRID) == 13**4
+        for quad in GRID:
+            assert act_sigma_inv(quad) == reference_sigma_inv(quad)
+
+    @pytest.mark.parametrize("bits", [3, 30, 3000])
+    def test_random_quads(self, bits):
+        for quad in random_quads(bits, 2000, bits):
+            assert act_sigma_inv(quad) == reference_sigma_inv(quad)
+
+    def test_roundtrips_on_the_grid(self):
+        for quad in GRID:
+            assert act_sigma_inv(act_sigma(quad)) == quad
+            assert act_sigma(act_sigma_inv(quad)) == quad
 
 
 class TestVectorAction:
@@ -327,3 +372,53 @@ class TestProbeStream:
         for bound in (-1, 0):  # a zero bound draws only the zero vector
             with pytest.raises(ValueError, match="positive"):
                 next(moved_probes((), 4, 1, bound, random.Random(0)))
+
+
+MIRROR_KIND = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, RHO: RHO}
+
+
+def mirror(letters):
+    """The mirror-image word: sigma_i and sigma_i^-1 trade places, rho_i stays."""
+    return tuple(Letter(MIRROR_KIND[kind], i) for kind, i in letters)
+
+
+def mirror_entries(entries):
+    """M_n: every a-entry negated, every b-entry kept."""
+    return [-x if j % 2 == 0 else x for j, x in enumerate(entries)]
+
+
+def mirror_words():
+    """(strands, letters): the near-kernel words BETA, SECOND and BETA^-1,
+    which fix the base vector, then seeded reduced words on 2-6 strands."""
+    rng = random.Random(1212)
+    words = [(3, BETA.letters), (3, SECOND.letters), (3, inverse(BETA).letters)]
+    for n in range(2, 7):
+        for _ in range(60):
+            words.append((n, random_reduced_word(n, rng.randint(0, 30), rng).letters))
+    return words
+
+
+class TestMirror:
+    """The inverse crossing is M o sigma o M, so a word's mirror image acts as
+    the word does on the mirrored vector, mirrored back."""
+
+    def test_mirror_word_acts_as_the_mirrored_action(self):
+        rng = random.Random(1213)
+        for n, letters in mirror_words():
+            for _ in range(5):
+                p = [rng.randint(-(10**6), 10**6) for _ in range(2 * n)]
+                assert apply_letters(p, mirror(letters)) == mirror_entries(
+                    apply_letters(mirror_entries(p), letters)
+                )
+
+    def test_a_word_fixes_the_start_vectors_exactly_when_its_mirror_does(self):
+        fixers = []
+        for k, (n, letters) in enumerate(mirror_words()):
+            starts = [base_vector(n).entries] + ([VB2_START] if n == 2 else [])
+            for start in starts:
+                assert mirror_entries(start) == list(start)
+                fixed = apply_letters(start, letters) == list(start)
+                assert (apply_letters(start, mirror(letters)) == list(start)) == fixed
+                if fixed and letters:
+                    fixers.append(k)
+        assert fixers[:3] == [0, 1, 2]  # BETA, SECOND and BETA^-1 fix the base vector

@@ -16,11 +16,13 @@ from vbraid.hunt import HuntReport
 from vbraid.words import (
     MAX_STRANDS,
     SIGMA,
+    SIGMA_INV,
     BraidWord,
     format_word,
     parse_word,
     random_reduced_word,
 )
+from test_diagram import forge, shifted_d
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
@@ -334,6 +336,33 @@ class TestVerifyDiagram:
         assert "closure: complete" in out
         payload = json.loads(path.read_text())
         assert payload["pass"] is True
+
+    def test_a_failing_arrow_exits_2(self, capsys, tmp_path, monkeypatch):
+        # The action on arrow 2's source box is off by one in d.
+        forge(monkeypatch, "2", image=shifted_d)
+        path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys,
+            "verify-diagram", "--samples", "20", "--seed", "6", "--json", str(path),
+        )
+        assert code == 2
+        failing = [line for line in out.splitlines() if "FAIL" in line]
+        assert len(failing) == 1
+        assert failing[0].startswith("arrow 2: B1 --sigma--> B2: 20 samples FAIL counterexample=")
+        assert "closure: complete" in out
+        assert json.loads(path.read_text())["pass"] is False
+
+    def test_a_missing_arrow_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delitem(diagram._ARROW_FROM, ("B3", SIGMA_INV))
+        path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys,
+            "verify-diagram", "--samples", "20", "--seed", "6", "--json", str(path),
+        )
+        assert code == 2
+        assert out.count(" ok\n") == 19
+        assert out.endswith("closure: MISSING sigma^-1 arrow out of B3\n")
+        assert json.loads(path.read_text())["pass"] is False
 
     def test_unwritable_json_fails_before_the_check(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(vbraid.cli, "verify_diagram", must_not_run)

@@ -143,6 +143,58 @@ class TestArrowTable:
             assert l1_norm(image) > l1_norm(quad)
 
 
+FLIP = {"0": "0", "+": "-", "-": "+", "+0": "-0", "-0": "+0"}
+
+
+def mirror_quad(quad):
+    """M(a, b, c, d) = (-a, b, -c, d), which carries sigma onto sigma^-1."""
+    a, b, c, d = quad
+    return (-a, b, -c, d)
+
+
+def mirror_box(name):
+    """The box whose pattern is M of the named one: entries 1 and 3 flip sign."""
+    s1, s2, s3, s4 = BOXES[name]
+    pattern = (FLIP[s1], s2, FLIP[s3], s4)
+    (image,) = [other for other, p in BOXES.items() if p == pattern]
+    return image
+
+
+class TestMirrorPairs:
+    """The fourteen crossing arrows are seven mirror pairs: each sigma^-1
+    arrow is M o (the sigma arrow out of its mirrored source) o M."""
+
+    def pairs(self):
+        out_of = {(a.source, a.generator): a for a in arrow_table()}
+        inverse_arrows = [a for a in arrow_table() if a.generator == SIGMA_INV]
+        return [(g, out_of[mirror_box(g.source), SIGMA]) for g in inverse_arrows]
+
+    def test_mirror_swaps_the_boxes(self):
+        assert {name: mirror_box(name) for name in BOXES} == {
+            "B1": "B1",
+            "B2": "B3", "B3": "B2",
+            "B4": "B5", "B5": "B4",
+            "B6": "B7", "B7": "B6",
+            "B8": "B9", "B9": "B8",
+        }
+
+    def test_seven_pairs(self):
+        pairs = self.pairs()
+        assert sorted((g.case, f.case) for g, f in pairs) == [
+            (1, 2), (3, 4), (5, 6), (8, 7), (9, 12), (10, 13), (14, 11)
+        ]
+        for g, f in pairs:
+            assert mirror_box(f.target) == g.target
+
+    def test_closed_forms_are_mirror_images(self):
+        grid = list(itertools.product(range(-5, 6), repeat=4))
+        for g, f in self.pairs():
+            points = [q for q in grid if pattern_matches(BOXES[g.source], q)]
+            assert points
+            for q in points:
+                assert g.closed_form(*q) == mirror_quad(f.closed_form(*mirror_quad(q)))
+
+
 class TestSampling:
     def test_respects_pattern(self):
         rng = random.Random(4)

@@ -14,13 +14,9 @@ def test_submodule_import_gives_the_module():
     assert h.hunt.__module__ == "vbraid.hunt"
 
 
-def test_plain_import_reaches_the_submodules_and_reexports_nothing():
-    # A fresh interpreter: this process has imported submodules already.
-    script = (
-        "import vbraid\n"
-        "print(vbraid.hunt.HuntConfig.__qualname__)\n"
-        "print(sorted(n for n in vars(vbraid) if not n.startswith('_')))\n"
-    )
+def fresh_interpreter(script):
+    """The standard output of ``script`` run in a new interpreter; this
+    process has imported submodules already."""
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -28,7 +24,16 @@ def test_plain_import_reaches_the_submodules_and_reexports_nothing():
         check=True,
         env={"PYTHONPATH": str(SRC)},
     )
-    assert result.stdout.splitlines() == [
+    return result.stdout
+
+
+def test_plain_import_reaches_the_submodules_and_reexports_nothing():
+    script = (
+        "import vbraid\n"
+        "print(vbraid.hunt.HuntConfig.__qualname__)\n"
+        "print(sorted(n for n in vars(vbraid) if not n.startswith('_')))\n"
+    )
+    assert fresh_interpreter(script).splitlines() == [
         "HuntConfig",
         "['action', 'diagram', 'hunt', 'wordproblem', 'words']",
     ]
@@ -36,24 +41,23 @@ def test_plain_import_reaches_the_submodules_and_reexports_nothing():
 
 def test_import_loads_only_the_standard_library():
     # The package declares no dependencies: importing it may load no
-    # third-party module.  multiprocessing registers the main module again
-    # as __mp_main__, which is not a new module.
+    # third-party module.  It loads no multiprocessing either (see below),
+    # so no module is registered again under a new name such as __mp_main__.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import vbraid\n"
-        "main = sys.modules['__main__']\n"
-        "new = {n.split('.')[0] for n, m in sys.modules.items() if n not in before and m is not main}\n"
+        "new = {n.split('.')[0] for n in sys.modules if n not in before}\n"
         "print(sorted(new - sys.stdlib_module_names))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={"PYTHONPATH": str(SRC)},
-    )
-    assert result.stdout == "['vbraid']\n"
+    assert fresh_interpreter(script) == "['vbraid']\n"
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only hunt() with more than one worker starts a pool; it imports
+    # multiprocessing itself, so a plain import stays light.
+    script = "import sys\nimport vbraid\nprint('multiprocessing' in sys.modules)\n"
+    assert fresh_interpreter(script) == "False\n"
 
 
 ROOT = SRC.parent
