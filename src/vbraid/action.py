@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .words import RHO, SIGMA, SIGMA_INV, BraidWord, Letter, cancels, check_strands
+from .words import (
+    RHO, SIGMA, SIGMA_INV, BraidWord, Letter, _common_prefix, _inverted, check_strands
+)
 
 Quad = tuple[int, int, int, int]
 
@@ -132,7 +134,7 @@ def apply_letters(entries: Sequence[int], letters: Iterable[Letter]) -> list[int
 
 
 def moved_probes(
-    letters: Sequence[Letter], width: int, count: int, bound: int, rng: Random
+    letters: tuple[Letter, ...], width: int, count: int, bound: int, rng: Random
 ) -> Iterator[list[int]]:
     """The probe battery: yield each of ``count`` random probes the letters move.
 
@@ -144,18 +146,13 @@ def moved_probes(
     lazily, so a caller that stops early leaves ``rng`` just past the last
     probe it saw.
 
-    The letters are split once as x m x^-1, with x the longest prefix whose
-    mirror-image suffix cancels it letter by letter, stopping before the
-    two overlap.  x^-1 acts as a bijection, so p.x.m.x^-1 = p exactly when
-    p.x.m = p.x: each probe crosses x once and m once, and the same probes
-    are yielded as by acting with the whole word.
+    Each probe crosses the conjugator x of letters = x m x^-1 once and m
+    once (the split of the ``wordproblem`` module docstring), and the same
+    probes are yielded as by acting with the whole word.
     """
     if bound < 1:
         raise ValueError(f"probe bound must be positive, got {bound}")
-    last = len(letters) - 1
-    peel = 0
-    while 2 * peel < last and cancels(letters[peel], letters[last - peel]):
-        peel += 1
+    peel = min(_common_prefix(letters, _inverted(letters)), len(letters) // 2)
     head, core = letters[:peel], letters[peel : len(letters) - peel]
     span = 2 * bound + 1
     bits = span.bit_length()

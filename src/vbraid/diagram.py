@@ -344,8 +344,7 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
     """
     if word.strands != 2:
         raise ValueError("certification applies to words on exactly 2 strands")
-    a, b, c, d = start
-    if a != 0 or c != 0 or b <= 0 or d <= 0 or b == d:
+    if not pattern_matches(BOXES[START_BOX], start) or start[1] == start[3]:
         raise ValueError(
             "start vector must be (0, x, 0, y) with distinct positive x and y"
         )

@@ -9,16 +9,17 @@ decider is sound but incomplete: it reports Distinct only with a concrete
 witness and otherwise answers Equal solely for letter-identical reduced
 words, else Unknown.
 
-Every comparison acts only where the two words differ.  Split them as
+Every comparison acts only where two words differ, and one routine,
+``words._common_prefix``, finds the letters they share.  Split them as
 x m1 z and x m2 z, with x the longest common prefix and z the longest common
-suffix after it.  Every letter acts as a bijection of Z^{2n}, so
+prefix of the reversed rests.  Every letter acts as a bijection of Z^{2n}, so
 p.x.m1.z = p.x.m2.z exactly when p.x.m1 = p.x.m2: x is applied once and z
 only to build the witness images of a Distinct verdict.  Free reduction
 never changes the action (a cancelled pair is the identity), so the battery
 runs on the freely reduced quotient w1 w2^-1 and moves the same probes as
-the unreduced one.  ``action.moved_probes`` splits that quotient once as
-x m x^-1 and applies each probe to x once: p.x.m.x^-1 = p exactly when
-p.x.m = p.x.
+the unreduced one.  ``action.moved_probes`` splits its word w once as
+x m x^-1, with x the common prefix of w and w^-1 capped at half of w, and
+applies each probe to x once: p.x.m.x^-1 = p exactly when p.x.m = p.x.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from random import Random
 
 from .action import Coordinates, apply_letters, base_vector, moved_probes
 from .diagram import VB2_START
-from .words import BraidWord, _inverted, _reduced, format_word, free_reduce, permutation
+from .words import (
+    BraidWord, _common_prefix, _inverted, _reduced, format_word, free_reduce, permutation
+)
 
 # The probe distribution for randomized batteries: entries uniform on
 # integers in [-BATTERY_BOUND, BATTERY_BOUND].
@@ -60,28 +63,9 @@ class Verdict:
         return self.status is Equality.EQUAL
 
 
-def _common_prefix(a: tuple, b: tuple) -> int:
-    """Length of the longest common prefix of two letter tuples."""
-    if a[:1] != b[:1]:
-        return 0
-    # a[:low] == b[:low] throughout; the halving slice comparisons run in C.
-    low, high = 0, min(len(a), len(b))
-    while low < high:
-        mid = (low + high + 1) // 2
-        if a[low:mid] == b[low:mid]:
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
 def _distinct_on(probe: Coordinates, w1: BraidWord, w2: BraidWord) -> Verdict | None:
-    """None when both words move ``probe`` alike, else Distinct with both images.
-
-    With w1 = x m1 z and w2 = x m2 z, the probe crosses x once; z acts as a
-    bijection, so it cannot separate equal middle images and is applied only
-    to build the witness images of the whole words.
-    """
+    """None when both words move ``probe`` alike, else Distinct with both images;
+    the probe crosses x once, and z only builds the images (module docstring)."""
     a, b = w1.letters, w2.letters
     x = _common_prefix(a, b)
     z = _common_prefix(a[x:][::-1], b[x:][::-1])

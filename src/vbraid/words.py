@@ -185,6 +185,19 @@ def _inverted(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple(letter.inverse() for letter in reversed(letters))
 
 
+def _common_prefix(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> int:
+    """Length of the longest common prefix of two letter tuples."""
+    # a[:low] == b[:low] throughout; the halving slice comparisons run in C.
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[low:mid] == b[low:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 def free_reduce(word: BraidWord) -> BraidWord:
     """Delete adjacent sigma/sigma-inverse and rho/rho pairs until none remain.
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbraid import action
 from vbraid.action import (
     Coordinates,
     act_quad,
@@ -24,11 +25,15 @@ from vbraid.words import (
     SIGMA_INV,
     BraidWord,
     Letter,
+    _common_prefix,
+    _inverted,
+    cancels,
     free_reduce,
     inverse,
     parse_word,
     random_reduced_word,
 )
+from test_wordproblem import LetterCounter
 
 ints = st.integers(-(10**6), 10**6)
 quads = st.tuples(ints, ints, ints, ints)
@@ -73,6 +78,10 @@ class TestQuadActions:
     def test_unfaithful_fixed_point(self):
         # the action may fix vectors outside the certified family
         assert act_sigma((0, 0, 0, 1)) == (0, 0, 0, 1)
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown letter kind 2"):
+            act_quad(2, (0, 1, 0, 1))
 
 
 def reference_sigma_inv(quad):
@@ -301,6 +310,12 @@ class TestCoordinates:
             make()
         assert peak_traced_bytes() < 2**20
 
+    def test_entries_become_a_tuple(self):
+        vector = Coordinates(2, [0, 2, 0, 1])
+        assert vector.entries == (0, 2, 0, 1)
+        assert vector == Coordinates(2, (0, 2, 0, 1))
+        assert hash(vector) == hash(Coordinates(2, (0, 2, 0, 1)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Coordinates(2, (0, 1, 0))
@@ -372,6 +387,61 @@ class TestProbeStream:
         for bound in (-1, 0):  # a zero bound draws only the zero vector
             with pytest.raises(ValueError, match="positive"):
                 next(moved_probes((), 4, 1, bound, random.Random(0)))
+
+
+def reference_peel(letters):
+    """The battery's conjugator length found letter by letter: the longest
+    prefix that its mirror-image suffix cancels, stopping before the two
+    overlap."""
+    last = len(letters) - 1
+    peel = 0
+    while 2 * peel < last and cancels(letters[peel], letters[last - peel]):
+        peel += 1
+    return peel
+
+
+def linear_prefix(a, b):
+    """The common prefix length of two tuples, one letter at a time."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+# Every letter tuple of length 0-8 over s1, S1 and r1, reduced or not.
+ONE_INDEX = [Letter(kind, 1) for kind in (SIGMA, SIGMA_INV, RHO)]
+SHORT_TUPLES = [
+    word for size in range(9) for word in itertools.product(ONE_INDEX, repeat=size)
+]
+
+
+class TestConjugatorSplit:
+    """The battery splits its word as x m x^-1 with x the common prefix of
+    the word and its inverse, capped at half the word: exhaustively on short
+    words, against the split found letter by letter."""
+
+    def test_probes_cross_the_reference_conjugator_once(self, monkeypatch):
+        assert len(SHORT_TUPLES) == 9841
+        counter = LetterCounter(action.apply_letters)
+        monkeypatch.setattr(action, "apply_letters", counter)
+        for letters in SHORT_TUPLES:
+            counter.calls = []
+            list(moved_probes(letters, 4, 1, 100, random.Random(0)))
+            peel = reference_peel(letters)
+            assert counter.calls == [peel, len(letters) - 2 * peel], letters
+
+    def test_common_prefix_matches_a_linear_scan(self):
+        other = {letter: ONE_INDEX[(k + 1) % 3] for k, letter in enumerate(ONE_INDEX)}
+        pairs = 0
+        for a in SHORT_TUPLES:
+            half = a[: len(a) // 2]
+            cases = [(a, _inverted(a)), (a, a[::-1]), (a, a), (a, half), (half, a)]
+            if a:
+                cases.append((a, (other[a[0]],) + a[1:]))
+            for left, right in cases:
+                assert _common_prefix(left, right) == linear_prefix(left, right)
+                pairs += 1
+        assert pairs == 6 * 9841 - 1
 
 
 MIRROR_KIND = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, RHO: RHO}

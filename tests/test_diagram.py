@@ -195,6 +195,121 @@ class TestMirrorPairs:
                 assert g.closed_form(*q) == mirror_quad(f.closed_form(*mirror_quad(q)))
 
 
+class Undecided(Exception):
+    """A comparison whose answer the box's signs leave open."""
+
+
+class Form:
+    """The linear form k_a a + k_b b + k_c c + k_d d on the quadruples
+    matching one sign pattern.
+
+    The coordinates are independent, unbounded integers, so the pattern's
+    symbols give each term k x its exact set of signs; ``signs`` is then
+    exact for a form whose terms all take one sign, and a superset
+    otherwise.  A comparison the set leaves open raises Undecided.
+    """
+
+    def __init__(self, coefficients, pattern):
+        self.k = tuple(coefficients)
+        self.pattern = pattern
+
+    def lift(self, x):
+        if isinstance(x, Form):
+            return x
+        if x == 0:
+            return Form((0, 0, 0, 0), self.pattern)
+        raise TypeError(f"only the constant 0 is a form, not {x!r}")
+
+    def __add__(self, other):
+        other = self.lift(other)
+        return Form((p + q for p, q in zip(self.k, other.k)), self.pattern)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Form((-p for p in self.k), self.pattern)
+
+    def __sub__(self, other):
+        return self + -self.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def signs(self):
+        terms = [
+            {s if k > 0 else -s for s in diagram._SIGNS[symbol]}
+            for k, symbol in zip(self.k, self.pattern)
+            if k and symbol != "0"
+        ]
+        if not terms:
+            return {0}
+        positive = any(1 in term for term in terms)
+        negative = any(-1 in term for term in terms)
+        if positive and negative:
+            return {-1, 0, 1}
+        sign = 1 if positive else -1
+        return {sign} if any(0 not in term for term in terms) else {0, sign}
+
+    def _decide(self, other, test):
+        answers = {test(s) for s in (self - other).signs()}
+        if len(answers) != 1:
+            raise Undecided(f"{self.k} vs {self.lift(other).k} on {self.pattern}")
+        return answers.pop()
+
+    def __lt__(self, other):
+        return self._decide(other, lambda s: s < 0)
+
+    def __gt__(self, other):
+        return self._decide(other, lambda s: s > 0)
+
+    def __eq__(self, other):
+        return (self - other).signs() == {0}
+
+    def __abs__(self):
+        if self.signs() <= {0, 1}:
+            return self
+        if self.signs() <= {-1, 0}:
+            return -self
+        raise Undecided(f"|{self.k}| on {self.pattern}")
+
+
+def coordinate_forms(pattern):
+    """The four coordinates a, b, c and d as forms on the pattern."""
+    return tuple(Form((int(i == j) for j in range(4)), pattern) for i in range(4))
+
+
+def exact_image(arrow):
+    """The source box's coordinates and their image under the arrow's letter,
+    every entry a form on the source box."""
+    quad = coordinate_forms(BOXES[arrow.source])
+    return quad, tuple(quad[0].lift(x) for x in act_quad(arrow.generator, quad))
+
+
+class TestExactArrows:
+    """A proof of every arrow, not a sample: on the source box the box's
+    signs decide each comparison the crossing makes, so ``act_quad`` runs
+    unchanged on linear forms and the arrow is one linear map."""
+
+    @pytest.mark.parametrize("a", arrow_table(), ids=lambda a: a.describe())
+    def test_arrow_is_one_linear_map_obeying_every_law(self, a):
+        quad, image = exact_image(a)
+        assert image == a.closed_form(*quad)
+        for entry, symbol in zip(image, BOXES[a.target]):
+            assert entry.signs() <= set(diagram._SIGNS[symbol])
+        growth = sum(abs(x) for x in image) - sum(abs(x) for x in quad)
+        assert growth.signs() == ({0} if a.generator == RHO else {1})
+        assert image[1] + image[3] == quad[1] + quad[3]
+
+    def test_the_forms_cannot_decide_a_crossing_outside_the_diagram(self):
+        with pytest.raises(Undecided):
+            act_quad(SIGMA, coordinate_forms(("+", "+", "+", "+")))
+
+    @pytest.mark.parametrize("a", arrow_table(), ids=lambda a: a.describe())
+    def test_a_closed_form_with_b_and_d_swapped_fails(self, a):
+        quad, image = exact_image(a)
+        assert image != a.closed_form(quad[0], quad[3], quad[2], quad[1])
+
+
 class TestSampling:
     def test_respects_pattern(self):
         rng = random.Random(4)

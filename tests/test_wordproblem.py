@@ -144,6 +144,10 @@ class TestVbn:
         assert verdict.status is Equality.UNKNOWN
         assert "0 random probes" in verdict.witness
 
+    def test_rejects_strand_mismatch(self):
+        with pytest.raises(ValueError, match="strand counts differ: 2 vs 3"):
+            distinguish_vbn(parse_word("s1", 2), parse_word("s1", 3), 10, random.Random(0))
+
     def test_negative_battery_is_rejected(self):
         w1 = parse_word("s1 s2 s1", 3)
         w2 = parse_word("s2 s1 s2", 3)

@@ -338,6 +338,19 @@ class TestBraidWord:
         with pytest.raises(ValueError):
             BraidWord(1, ())
 
+    def test_validates_letter_kind(self):
+        with pytest.raises(ValueError, match="unknown letter kind 2"):
+            BraidWord(2, (Letter(2, 1),))
+
+    def test_letters_become_a_tuple(self):
+        word = BraidWord(2, [Letter(SIGMA, 1), Letter(RHO, 1)])
+        assert word.letters == (Letter(SIGMA, 1), Letter(RHO, 1))
+        assert word == parse_word("s1 r1", 2)
+
+    def test_only_words_concatenate(self):
+        with pytest.raises(TypeError):
+            BraidWord(2) * 3
+
     def test_strand_cap(self):
         assert BraidWord(MAX_STRANDS).strands == MAX_STRANDS
         with pytest.raises(ValueError, match=f"at most {MAX_STRANDS}"):
