@@ -14,18 +14,28 @@ Every comparison acts only where two words differ, and one routine,
 x m1 z and x m2 z, with x the longest common prefix and z the longest common
 prefix of the reversed rests.  Every letter acts as a bijection of Z^{2n}, so
 p.x.m1.z = p.x.m2.z exactly when p.x.m1 = p.x.m2: x is applied once and z
-only to build the witness images of a Distinct verdict.  Free reduction
-never changes the action (a cancelled pair is the identity), so the battery
-runs on the freely reduced quotient w1 w2^-1 and moves the same probes as
-the unreduced one.  ``action.moved_probes`` splits its word w once as
-x m x^-1, with x the common prefix of w and w^-1 capped at half of w, and
-applies each probe to x once: p.x.m.x^-1 = p exactly when p.x.m = p.x.
+only to build the witness images of a Distinct verdict.  On a faithful probe
+(the base vector in B_n, ``VB2_START`` on two strands) only the identity
+fixes p, and so only the identity fixes p.x: the words are equal exactly
+when p.m1 = p.m2.  The complete deciders therefore act on the two middles
+from the probe itself, and cross x and z only to report the images of the
+whole words in a Distinct witness.  They take that path when x is nonempty
+and m1, m2 have the same sigma exponent sum: the sum is a homomorphism
+VB_n -> Z that every relator and free cancellation keeps, so different sums
+prove the words distinct, and the witness then comes from one pass as above.
+
+Free reduction never changes the action (a cancelled pair is the identity),
+so the battery runs on the freely reduced quotient w1 w2^-1 and moves the
+same probes as the unreduced one.  ``action.moved_probes`` splits its word w
+once as x m x^-1, with x the common prefix of w and w^-1 capped at half of w,
+and applies each probe to x once: p.x.m.x^-1 = p exactly when p.x.m = p.x.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 
 from .action import Coordinates, apply_letters, base_vector, moved_probes
@@ -59,16 +69,21 @@ class Verdict:
     probe: tuple[int, ...] | None = None
     images: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    def __bool__(self) -> bool:
-        return self.status is Equality.EQUAL
 
-
-def _distinct_on(probe: Coordinates, w1: BraidWord, w2: BraidWord) -> Verdict | None:
-    """None when both words move ``probe`` alike, else Distinct with both images;
-    the probe crosses x once, and z only builds the images (module docstring)."""
+def _split(w1: BraidWord, w2: BraidWord) -> tuple[int, int]:
+    """(|x|, |z|) for the split w1 = x m1 z, w2 = x m2 z (module docstring)."""
     a, b = w1.letters, w2.letters
     x = _common_prefix(a, b)
-    z = _common_prefix(a[x:][::-1], b[x:][::-1])
+    return x, _common_prefix(a[x:][::-1], b[x:][::-1])
+
+
+def _distinct_on(
+    probe: Coordinates, w1: BraidWord, w2: BraidWord, x: int, z: int
+) -> Verdict | None:
+    """None when both words move ``probe`` alike, else Distinct with the images
+    of the whole words; the probe crosses x once, then m1 and m2, and z only
+    builds the images (module docstring).  It assumes nothing of the probe."""
+    a, b = w1.letters, w2.letters
     shared = apply_letters(probe.entries, a[:x])
     left = apply_letters(shared, a[x : len(a) - z])
     right = apply_letters(shared, b[x : len(b) - z])
@@ -87,8 +102,21 @@ def _distinct_on(probe: Coordinates, w1: BraidWord, w2: BraidWord) -> Verdict | 
 
 def _decide(probe: Coordinates, w1: BraidWord, w2: BraidWord, why: str) -> Verdict:
     """Distinct with both images when the words move ``probe`` apart, else
-    Equal with witness ``why``; for callers whose probe separates the group."""
-    verdict = _distinct_on(probe, w1, w2)
+    Equal with witness ``why``; for callers whose probe separates the group.
+
+    Equal middle images on the probe itself are Equal (module docstring); any
+    other pair takes ``_distinct_on``.  A Distinct pair with x nonempty and
+    equal sums thus pays |m1| + |m2| extra letters on the raw probe, whose
+    entries are smaller than those of p.x.
+    """
+    x, z = _split(w1, w2)
+    a, b = w1.letters, w2.letters
+    m1, m2 = a[x : len(a) - z], b[x : len(b) - z]
+    # RHO = 0, so the kinds sum to the sigma exponent sum.
+    middles_first = x and sum(map(itemgetter(0), m1)) == sum(map(itemgetter(0), m2))
+    if middles_first and apply_letters(probe.entries, m1) == apply_letters(probe.entries, m2):
+        return Verdict(Equality.EQUAL, witness=why)
+    verdict = _distinct_on(probe, w1, w2, x, z)
     return Verdict(Equality.EQUAL, witness=why) if verdict is None else verdict
 
 
@@ -155,7 +183,8 @@ def distinguish_vbn(
             witness="strand permutations differ",
             images=(p1, p2),
         )
-    verdict = _distinct_on(base_vector(w1.strands), w1, w2)
+    x, z = _split(w1, w2)
+    verdict = _distinct_on(base_vector(w1.strands), w1, w2, x, z)
     if verdict is not None:
         return verdict
 
@@ -166,7 +195,7 @@ def distinguish_vbn(
         quotient = _reduced(w1.letters + _inverted(w2.letters))
         probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
         if probe is not None:
-            return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
+            return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2, x, z)
     return Verdict(
         Equality.UNKNOWN,
         witness=f"agree on the strand permutation, the base vector and "

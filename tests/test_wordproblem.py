@@ -18,6 +18,7 @@ from vbraid.wordproblem import (
 )
 from vbraid.words import (
     BraidWord,
+    Letter,
     format_word,
     free_reduce,
     inverse,
@@ -39,6 +40,12 @@ class TestBn:
         verdict = are_equal_bn(parse_word("s1", 2), parse_word("S1", 2))
         assert verdict.status is Equality.DISTINCT
         assert verdict.images == ((1, 0, 0, 2), (-1, 0, 0, 2))
+
+    def test_a_distinct_verdict_is_truthy(self):
+        # A verdict is a record, not a boolean: read its status.
+        verdict = are_equal_bn(parse_word("s1", 2), parse_word("S1", 2))
+        assert verdict.status is Equality.DISTINCT
+        assert verdict
 
     def test_free_cancellation_equal(self):
         verdict = are_equal_bn(parse_word("", 2), parse_word("s1 S1", 2))
@@ -399,6 +406,54 @@ class TestDifferingPart:
         assert digest == PINNED_VERDICTS
 
 
+def with_relators(word, relator_words, count, rng):
+    for _ in range(count):
+        word = insert_relator(word, relator_words, rng)
+    return word
+
+
+def long_cases():
+    """A fixed batch of long (label, group, w1, w2); the Distinct ones keep the
+    sigma exponent sum and share a nonempty prefix."""
+    rng = random.Random(4014)
+    cases = []
+    for n in (4, 5, 6):
+        relators = classical_relators(n)
+        for _ in range(3):
+            word = random_reduced_word(n, rng.randint(300, 600), rng, virtual=False)
+            other = with_relators(word, relators, rng.randint(1, 3), rng)
+            cases.append(("relators", "bn", word, other))
+            letters = list(word.letters)
+            position = rng.randrange(1, len(letters))
+            kind, index = letters[position]
+            other_index = rng.choice([j for j in range(1, n) if j != index])
+            letters[position] = Letter(kind, other_index)
+            cases.append(("replaced", "bn", word, BraidWord(n, tuple(letters))))
+            letters = list(word.letters)
+            position = next(
+                p for p in range(rng.randrange(1, len(letters) // 2), len(letters) - 1)
+                if abs(letters[p].index - letters[p + 1].index) == 1
+            )
+            letters[position : position + 2] = letters[position + 1], letters[position]
+            cases.append(("swapped", "bn", word, BraidWord(n, tuple(letters))))
+    cancelling = ["s1 S1", "S1 s1", "r1 r1"]
+    for _ in range(6):
+        word = random_reduced_word(2, rng.randint(300, 600), rng)
+        other = with_relators(word, cancelling, rng.randint(1, 3), rng)
+        cases.append(("cancelling", "vb2", word, other))
+    return cases
+
+
+class TestLongPairs:
+    def test_verdicts_equal_the_whole_word_reference(self):
+        for label, group, w1, w2 in long_cases():
+            got = library_decision(group, w1, w2, CASE_BATTERY, None)
+            want = whole_word_decision(group, w1, w2, CASE_BATTERY, None)
+            assert got == want, (label, group, format_word(w1), format_word(w2))
+            equal = label in ("relators", "cancelling")
+            assert got.status is (Equality.EQUAL if equal else Equality.DISTINCT)
+
+
 class LetterCounter:
     """Stands in for apply_letters and records how many letters each call acts on."""
 
@@ -433,6 +488,44 @@ class TestWorkDone:
             assert sum(counter.calls) <= 2 * (cut + len(relator))
             checked += 1
         assert checked >= 6
+
+    @pytest.mark.parametrize("cut", [0, 1, 57, 100, 199, 200])
+    def test_bn_acts_on_the_inserted_relator_alone(self, cut, monkeypatch):
+        # An Equal pair never crosses the shared prefix or suffix.
+        word = random_reduced_word(4, 200, random.Random(cut), virtual=False)
+        for text in classical_relators(4):
+            relator = parse_word(text, 4).letters
+            other = BraidWord(4, word.letters[:cut] + relator + word.letters[cut:])
+            for pair in ((word, other), (other, word)):
+                counter = LetterCounter(wordproblem.apply_letters)
+                monkeypatch.setattr(wordproblem, "apply_letters", counter)
+                assert are_equal_bn(*pair).status is Equality.EQUAL
+                monkeypatch.undo()
+                assert sum(counter.calls) <= len(relator)
+
+    @pytest.mark.parametrize("cut", [0, 1, 57, 100, 199, 200])
+    def test_vb2_acts_on_the_inserted_pair_alone(self, cut, monkeypatch):
+        word = random_reduced_word(2, 200, random.Random(cut))
+        for text in ("s1 S1", "r1 r1"):
+            pair = parse_word(text, 2).letters
+            other = BraidWord(2, word.letters[:cut] + pair + word.letters[cut:])
+            counter = LetterCounter(wordproblem.apply_letters)
+            monkeypatch.setattr(wordproblem, "apply_letters", counter)
+            assert are_equal_vb2(word, other).status is Equality.EQUAL
+            monkeypatch.undo()
+            assert sum(counter.calls) <= len(pair)
+
+    @pytest.mark.parametrize("position", [0, 1, 57, 100, 199])
+    def test_an_inverted_letter_is_decided_in_one_pass(self, position, monkeypatch):
+        # The exponent sums differ by 2, so the probe crosses x once, the two
+        # one-letter middles, and z on each side for the witness images.
+        word = random_reduced_word(4, 200, random.Random(position), virtual=False)
+        other = invert_letter(word, position)
+        counter = LetterCounter(wordproblem.apply_letters)
+        monkeypatch.setattr(wordproblem, "apply_letters", counter)
+        assert are_equal_bn(word, other).status is Equality.DISTINCT
+        monkeypatch.undo()
+        assert sum(counter.calls) == position + 2 + 2 * (199 - position)
 
     def test_battery_acts_on_the_reduced_quotient(self, monkeypatch):
         limit = len(free_reduce(BETA_CUBED))
