@@ -413,8 +413,9 @@ def with_relators(word, relator_words, count, rng):
 
 
 def long_cases():
-    """A fixed batch of long (label, group, w1, w2); the Distinct ones keep the
-    sigma exponent sum and share a nonempty prefix."""
+    """A fixed batch of long (label, group, w1, w2); the Distinct ones share a
+    nonempty prefix and differ in a short middle, so the deciders act on the
+    middles from the probe itself before the one pass that builds the witness."""
     rng = random.Random(4014)
     cases = []
     for n in (4, 5, 6):
@@ -516,16 +517,42 @@ class TestWorkDone:
             assert sum(counter.calls) <= len(pair)
 
     @pytest.mark.parametrize("position", [0, 1, 57, 100, 199])
-    def test_an_inverted_letter_is_decided_in_one_pass(self, position, monkeypatch):
-        # The exponent sums differ by 2, so the probe crosses x once, the two
-        # one-letter middles, and z on each side for the witness images.
+    def test_an_inverted_letter_costs_its_middles_twice(self, position, monkeypatch):
+        # With x nonempty the two one-letter middles first act on the probe
+        # itself; then the probe crosses x once, the middles again, and z on
+        # each side for the witness images.  With x empty there is one pass.
         word = random_reduced_word(4, 200, random.Random(position), virtual=False)
         other = invert_letter(word, position)
         counter = LetterCounter(wordproblem.apply_letters)
         monkeypatch.setattr(wordproblem, "apply_letters", counter)
         assert are_equal_bn(word, other).status is Equality.DISTINCT
         monkeypatch.undo()
-        assert sum(counter.calls) == position + 2 + 2 * (199 - position)
+        first = 2 if position else 0
+        assert sum(counter.calls) == first + position + 2 + 2 * (199 - position)
+
+    @pytest.mark.parametrize(
+        "prefix, middle, suffix",
+        [(0, 50, 0), (0, 50, 60), (1, 50, 0), (1, 50, 50), (20, 50, 30), (100, 50, 0)],
+    )
+    def test_a_distinct_pair_does_at_most_half_again_the_one_pass(
+        self, prefix, middle, suffix, monkeypatch
+    ):
+        rng = random.Random(f"{prefix}:{middle}:{suffix}")
+        x, u, v, z = (
+            random_reduced_word(4, length, rng, virtual=False).letters
+            for length in (prefix, middle, middle, suffix)
+        )
+        w1, w2 = BraidWord(4, x + u + z), BraidWord(4, x + v + z)
+        counter = LetterCounter(wordproblem.apply_letters)
+        monkeypatch.setattr(wordproblem, "apply_letters", counter)
+        assert are_equal_bn(w1, w2).status is Equality.DISTINCT
+        monkeypatch.undo()
+        shared, tail = wordproblem._split(w1, w2)
+        middles = len(w1) + len(w2) - 2 * (shared + tail)
+        one_pass = shared + middles + 2 * tail
+        twice = shared > 0 and middles <= shared + 2 * tail
+        assert sum(counter.calls) == one_pass + (middles if twice else 0)
+        assert 2 * sum(counter.calls) <= 3 * one_pass
 
     def test_battery_acts_on_the_reduced_quotient(self, monkeypatch):
         limit = len(free_reduce(BETA_CUBED))
