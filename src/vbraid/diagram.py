@@ -19,7 +19,8 @@ satisfying it coordinatewise.
 This module encodes the nine boxes and the nineteen arrows (fourteen
 crossing arrows plus five virtual ones), checks every arrow on randomized
 region samples, checks the diagram's closure combinatorially, and traces
-certified paths for concrete words.
+certified paths for concrete words.  One routine, ``_step``, takes a step
+along an arrow and checks its laws, for the samples and the traces alike.
 
 The inverse crossing is the positive one mirrored by M(a, b, c, d) =
 (-a, b, -c, d), which fixes B1 and swaps B2/B3, B4/B5, B6/B7 and B8/B9: the
@@ -30,6 +31,7 @@ arrow) (1, 2), (3, 4), (5, 6), (8, 7), (9, 12), (10, 13) and (14, 11).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from random import Random
 from typing import Callable
 
@@ -78,6 +80,15 @@ START_BOX = "B1"
 VB2_START = (0, 2, 0, 1)  # a start vector in START_BOX
 
 
+# The box of each sign quadruple ((a > 0) - (a < 0), ...) some pattern admits.
+# The nine patterns are pairwise disjoint, so each key has one box.
+_BOX_OF: dict[tuple[int, int, int, int], str] = {
+    signs: name
+    for name, pattern in BOXES.items()
+    for signs in product(*(_SIGNS[symbol] for symbol in pattern))
+}
+
+
 def classify(quad: Quad) -> list[str]:
     """The names of all boxes whose pattern the quadruple satisfies.
 
@@ -85,7 +96,11 @@ def classify(quad: Quad) -> list[str]:
     element; quadruples outside the diagram (for example any with all
     entries positive) match none.
     """
-    return [name for name, pattern in BOXES.items() if pattern_matches(pattern, quad)]
+    a, b, c, d = quad
+    name = _BOX_OF.get(
+        ((a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0), (d > 0) - (d < 0))
+    )
+    return [] if name is None else [name]
 
 
 @dataclass(frozen=True)
@@ -160,28 +175,42 @@ def l1_norm(quad: Quad) -> int:
     return abs(a) + abs(b) + abs(c) + abs(d)
 
 
+# How ``sample_matching`` draws each symbol: (always zero, may be zero, sign).
+_PLAN = {
+    symbol: (signs == (0,), 0 in signs, 1 if 1 in signs else -1)
+    for symbol, signs in _SIGNS.items()
+}
+
+
 def sample_matching(pattern: SignPattern, rng: Random) -> Quad:
     """Draw a quadruple matching the pattern.
 
     Magnitudes favour the boundary where the piecewise formulas switch:
     value 1 with probability 1/4, otherwise uniform in [1, 10^6]; the
     half-line symbols '+0' and '-0' produce their boundary zero with
-    probability 1/4.
+    probability 1/4.  Each uniform magnitude is ``rng.randint(1, 10**6)``
+    written out as CPython's ``Random._randbelow_with_getrandbits`` draw
+    (20 bits, redrawn while ``>= 10**6``), so quadruples and the rng state
+    match the ``randint`` stream exactly.
     """
-
-    def draw(symbol: str) -> int:
-        signs = _SIGNS[symbol]
-        if signs == (0,) or 0 in signs and rng.random() < 0.25:
-            return 0
-        size = 1 if rng.random() < 0.25 else rng.randint(1, 10**6)
-        return size if 1 in signs else -size
-
-    s1, s2, s3, s4 = pattern
-    return (draw(s1), draw(s2), draw(s3), draw(s4))
+    random = rng.random
+    getrandbits = rng.getrandbits
+    quad = []
+    for zero, may_be_zero, sign in map(_PLAN.__getitem__, pattern):
+        if zero or may_be_zero and random() < 0.25:
+            quad.append(0)
+        elif random() < 0.25:
+            quad.append(sign)
+        else:
+            r = getrandbits(20)  # (10**6).bit_length()
+            while r >= 10**6:
+                r = getrandbits(20)
+            quad.append(sign * (r + 1))
+    return tuple(quad)
 
 
 # The four laws every step along an arrow obeys, each with the key of its
-# count in ``ArrowCheck.as_dict``, in the order of the flags of ``_broken_laws``.
+# count in ``ArrowCheck.as_dict``, in the order of the flags of ``_step``.
 _LAWS = (
     ("closed form", "closed_form_mismatches"),
     ("target box", "target_escapes"),
@@ -190,17 +219,24 @@ _LAWS = (
 )
 
 
-def _broken_laws(
-    arrow: Arrow, quad: Quad, image: Quad, before: int, after: int
-) -> tuple[bool, bool, bool, bool]:
-    """Flag each law the step ``quad -> image`` along ``arrow`` breaks: the
-    closed form, the target box, the norm law (``after`` above ``before``
-    for crossings, equal to it for virtual steps) and b + d conservation."""
-    return (
+def _step(
+    arrow: Arrow, quad: Quad, before: int
+) -> tuple[Quad, int, tuple[bool, bool, bool, bool]]:
+    """The step along ``arrow`` from ``quad`` of L1 norm ``before``: the image,
+    its norm and a flag for each law it breaks: the closed form, the target
+    box, the norm law (the norm above ``before`` for crossings, equal to it
+    for virtual steps) and b + d conservation."""
+    kind = arrow.generator
+    image = act_quad(kind, quad)
+    a, b, c, d = image
+    after = abs(a) + abs(b) + abs(c) + abs(d)
+    # classify's lookup, written out: a call per step costs about 3% of a trace.
+    signs =(a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0), (d > 0) - (d < 0)
+    return image, after, (
         image != arrow.closed_form(*quad),
-        not pattern_matches(BOXES[arrow.target], image),
-        after != before if arrow.generator == RHO else after <= before,
-        image[1] + image[3] != quad[1] + quad[3],
+        _BOX_OF.get(signs) != arrow.target,
+        after != before if kind == RHO else after <= before,
+        b + d != quad[1] + quad[3],
     )
 
 
@@ -208,7 +244,7 @@ def _broken_laws(
 class ArrowCheck:
     """Result of sampling one arrow.
 
-    ``violations`` counts the samples breaking each law of ``_broken_laws``;
+    ``violations`` counts the samples breaking each law of ``_step``;
     ``counterexample`` is the first sample that broke any.
     """
 
@@ -245,8 +281,7 @@ def verify_arrow(arrow: Arrow, samples: int, rng: Random) -> ArrowCheck:
     counterexample: Quad | None = None
     for _ in range(samples):
         quad = sample_matching(source, rng)
-        image = act_quad(arrow.generator, quad)
-        broken = _broken_laws(arrow, quad, image, l1_norm(quad), l1_norm(image))
+        _, _, broken = _step(arrow, quad, l1_norm(quad))
         if True in broken:
             violations = tuple(n + flag for n, flag in zip(violations, broken))
             if counterexample is None:
@@ -344,6 +379,7 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
     """
     if word.strands != 2:
         raise ValueError("certification applies to words on exactly 2 strands")
+    start = tuple(start)
     if not pattern_matches(BOXES[START_BOX], start) or start[1] == start[3]:
         raise ValueError(
             "start vector must be (0, x, 0, y) with distinct positive x and y"
@@ -356,22 +392,23 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
         )
     trivial = not reduced.letters
     current = start
-    boxes = [START_BOX]
-    norms = [l1_norm(start)]
+    box = START_BOX
+    norm = l1_norm(start)
+    boxes = [box]
+    norms = [norm]
     violation: str | None = None
     for step, (kind, _) in enumerate(reduced.letters, start=1):
-        arrow = _ARROW_FROM.get((boxes[-1], kind))
+        arrow = _ARROW_FROM.get((box, kind))
         if arrow is None:
-            violation = f"step {step}: no {GENERATOR_NAMES[kind]} arrow out of {boxes[-1]}"
+            violation = f"step {step}: no {GENERATOR_NAMES[kind]} arrow out of {box}"
             break
-        image = act_quad(kind, current)
-        norm = l1_norm(image)
-        broken = _broken_laws(arrow, current, image, norms[-1], norm)
+        image, norm, broken = _step(arrow, current, norm)
         if True in broken:
             law = _LAWS[broken.index(True)][0]
             violation = f"step {step}: arrow {arrow.describe()} breaks the {law} law"
             break
-        boxes.append(arrow.target)
+        box = arrow.target
+        boxes.append(box)
         norms.append(norm)
         current = image
 

@@ -202,8 +202,12 @@ def free_reduce(word: BraidWord) -> BraidWord:
     """Delete adjacent sigma/sigma-inverse and rho/rho pairs until none remain.
 
     Only free cancellation is applied; no braid or mixed relations are used.
+    A word in which nothing cancels is returned itself.
     """
-    return BraidWord(word.strands, _reduced(word.letters))
+    letters = _reduced(word.letters)
+    if len(letters) == len(word.letters):
+        return word
+    return BraidWord(word.strands, letters)
 
 
 def inverse(word: BraidWord) -> BraidWord:

@@ -92,6 +92,13 @@ class TestClassify:
         assert len(inside) == 13
         assert all(len(names) == 1 for names in inside)
         assert {names[0] for names in inside} == set(BOXES)
+        # The box table agrees with a scan of the nine patterns, on each sign
+        # vector at magnitude 1 and at a random magnitude.
+        rng = random.Random(37)
+        for signs in itertools.product((-1, 0, 1), repeat=4):
+            for quad in (signs, tuple(s * rng.randint(1, 10**9) for s in signs)):
+                scan = [name for name, p in BOXES.items() if pattern_matches(p, quad)]
+                assert classify(quad) == scan
 
 
 class TestArrowTable:
@@ -310,7 +317,41 @@ class TestExactArrows:
         assert image != a.closed_form(quad[0], quad[3], quad[2], quad[1])
 
 
+def reference_sample(pattern, rng):
+    """``sample_matching`` as a ``draw`` closure over ``rng.randint``."""
+
+    def draw(symbol):
+        signs = diagram._SIGNS[symbol]
+        if signs == (0,) or 0 in signs and rng.random() < 0.25:
+            return 0
+        size = 1 if rng.random() < 0.25 else rng.randint(1, 10**6)
+        return size if 1 in signs else -size
+
+    s1, s2, s3, s4 = pattern
+    return (draw(s1), draw(s2), draw(s3), draw(s4))
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its 20-bit draws of 10^6 or more."""
+
+    redraws = 0
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.redraws += k == 20 and r >= 10**6
+        return r
+
+
 class TestSampling:
+    @pytest.mark.parametrize("seed", [3, 59, 2027])
+    def test_stream_matches_the_randint_reference(self, seed):
+        for pattern in BOXES.values():
+            rng, reference = CountingRandom(seed), random.Random(seed)
+            for _ in range(1000):
+                assert sample_matching(pattern, rng) == reference_sample(pattern, reference)
+            assert rng.getstate() == reference.getstate()
+            assert rng.redraws > 0
+
     def test_respects_pattern(self):
         rng = random.Random(4)
         for pattern in BOXES.values():
@@ -534,6 +575,18 @@ class TestCertify:
             word = random_reduced_word(2, rng.randint(1, 40), rng)
             cert = certify_nontrivial(word)
             assert classify(cert.image) == [cert.boxes[-1]]
+
+    def test_a_list_start_gives_the_tuple_certificate(self):
+        word = parse_word("s1 r1", 2)
+        cert = certify_nontrivial(word, start=[0, 2, 0, 1])
+        assert cert == certify_nontrivial(word, start=(0, 2, 0, 1))
+        assert cert.start == (0, 2, 0, 1)
+        assert hash(cert) == hash(certify_nontrivial(word))
+
+    def test_a_list_start_is_checked_for_a_return(self, monkeypatch):
+        forge(monkeypatch, "rho", image=lambda a, b, c, d: (a, b, c, d))
+        cert = certify_nontrivial(parse_word("r1", 2), start=[0, 2, 0, 1])
+        assert cert.violation == "nonempty reduced word returned to the start vector"
 
     def test_alternate_start_vectors(self):
         cert = certify_nontrivial(parse_word("r1", 2), start=(0, 5, 0, 2))

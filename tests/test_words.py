@@ -188,6 +188,16 @@ class TestFreeReduce:
     def test_preserves_permutation(self, word):
         assert permutation(free_reduce(word)) == permutation(word)
 
+    def test_a_reduced_word_is_returned_itself(self):
+        word = parse_word("s1 r1 S1 s2", 3)
+        assert free_reduce(word) is word
+
+    def test_an_unreduced_word_gives_an_equal_new_word(self):
+        word = parse_word("s1 r2 r2 s2", 3)
+        reduced = free_reduce(word)
+        assert reduced is not word
+        assert reduced == parse_word("s1 s2", 3)
+
 
 class TestInverse:
     def test_examples(self):
