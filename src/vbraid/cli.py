@@ -8,7 +8,8 @@ decider from the words and is randomized only on virtual words of n >= 3
 with --battery > 0.
 Output files (--out, --fixers-out, --json) are opened before the work
 starts, so an unwritable path fails at once with exit 1; an existing file
-keeps its bytes until the finished work replaces them.
+keeps its bytes until the finished work replaces them, and a file the run
+created is removed again if the run fails.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from random import Random
 
@@ -44,10 +46,25 @@ def _parse_length(text: str) -> int | tuple[int, int]:
     return int(text)
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
     """An output file opened for appending, so that work rejected before
-    ``_write`` leaves an existing file intact; None when no path is given."""
-    return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
+    ``_write`` leaves an existing file intact, and removed if this call
+    created it and the work raises; None when no path is given."""
+    if not path:
+        yield None
+        return
+    try:
+        handle, created = open(path, "x", encoding="utf-8"), True
+    except FileExistsError:
+        handle, created = open(path, "a", encoding="utf-8"), False
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _write(handle, text: str) -> None:
@@ -68,6 +85,8 @@ def _cmd_act(args) -> int:
 def _cmd_eq(args) -> int:
     w1 = parse_word(args.w1, args.n)
     w2 = parse_word(args.w2, args.n)
+    if args.battery < 0:
+        raise ValueError(f"battery size must be nonnegative, got {args.battery}")
     if args.n == 2:
         verdict = are_equal_vb2(w1, w2)
     elif w1.is_classical() and w2.is_classical():

@@ -2,8 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vbraid import action
 from vbraid.action import (
@@ -34,9 +32,22 @@ from vbraid.words import (
     random_reduced_word,
 )
 from test_wordproblem import LetterCounter
+from test_words import EXHAUSTIVE_LENGTHS, WORDS, every_tuple
 
-ints = st.integers(-(10**6), 10**6)
-quads = st.tuples(ints, ints, ints, ints)
+
+GRID = list(itertools.product(range(-6, 7), repeat=4))
+
+
+def random_quads(bits, count, seed):
+    rng = random.Random(seed)
+    return [
+        tuple(rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(4))
+        for _ in range(count)
+    ]
+
+
+# The grid, then seeded quads of up to 3, 30 and 3000 bits.
+QUADS = GRID + [q for bits in (3, 30, 3000) for q in random_quads(bits, 2000, bits)]
 
 
 def act(entries, text, strands=None):
@@ -61,19 +72,14 @@ class TestQuadActions:
         assert act_quad(RHO, (3, 4, 3, 4)) == (3, 4, 3, 4)
         assert act_quad(RHO, (0, 2, 0, 1)) == (0, 1, 0, 2)
 
-    @given(quads)
-    def test_sigma_roundtrip(self, quad):
-        assert act_sigma_inv(act_sigma(quad)) == quad
-        assert act_sigma(act_sigma_inv(quad)) == quad
+    def test_rho_involution(self):
+        for quad in QUADS:
+            assert act_quad(RHO, act_quad(RHO, quad)) == quad
 
-    @given(quads)
-    def test_rho_involution(self, quad):
-        assert act_quad(RHO, act_quad(RHO, quad)) == quad
-
-    @given(quads)
-    def test_pair_sum_conserved(self, quad):
-        for image in (act_sigma(quad), act_sigma_inv(quad), act_quad(RHO, quad)):
-            assert image[1] + image[3] == quad[1] + quad[3]
+    def test_pair_sum_conserved(self):
+        for quad in QUADS:
+            for image in (act_sigma(quad), act_sigma_inv(quad), act_quad(RHO, quad)):
+                assert image[1] + image[3] == quad[1] + quad[3], quad
 
     def test_unfaithful_fixed_point(self):
         # the action may fix vectors outside the certified family
@@ -99,17 +105,6 @@ def reference_sigma_inv(quad):
     )
 
 
-GRID = list(itertools.product(range(-6, 7), repeat=4))
-
-
-def random_quads(bits, count, seed):
-    rng = random.Random(seed)
-    return [
-        tuple(rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(4))
-        for _ in range(count)
-    ]
-
-
 class TestInverseCrossingReference:
     def test_grid(self):
         assert len(GRID) == 13**4
@@ -122,7 +117,8 @@ class TestInverseCrossingReference:
             assert act_sigma_inv(quad) == reference_sigma_inv(quad)
 
     def test_roundtrips_on_the_grid(self):
-        for quad in GRID:
+        assert len(QUADS) == 13**4 + 3 * 2000
+        for quad in QUADS:
             assert act_sigma_inv(act_sigma(quad)) == quad
             assert act_sigma(act_sigma_inv(quad)) == quad
 
@@ -183,26 +179,14 @@ class TestBaseVectorAndEvenSum:
         assert even_sum(base_vector(3)) == 3
         assert even_sum(Coordinates.from_entries((85, 49, -90, -47))) == 2
 
-    @settings(max_examples=100)
-    @given(
-        st.integers(2, 5).flatmap(
-            lambda n: st.tuples(
-                st.lists(ints, min_size=2 * n, max_size=2 * n),
-                st.lists(
-                    st.builds(
-                        Letter,
-                        st.sampled_from([SIGMA, SIGMA_INV, RHO]),
-                        st.integers(1, n - 1),
-                    ),
-                    max_size=40,
-                ).map(lambda ls: BraidWord(n, tuple(ls))),
+    def test_even_sum_conserved(self):
+        rng = random.Random(515)
+        # Squares of the drawn words of over 20 letters run to 42-60 letters.
+        for word in WORDS + [word * word for word in WORDS if len(word) > 20]:
+            vector = Coordinates.from_entries(
+                [rng.randint(-(10**6), 10**6) for _ in range(2 * word.strands)]
             )
-        )
-    )
-    def test_even_sum_conserved(self, pair):
-        entries, word = pair
-        vector = Coordinates.from_entries(entries)
-        assert even_sum(act_word(vector, word)) == even_sum(vector)
+            assert even_sum(act_word(vector, word)) == even_sum(vector), word
 
 
 def relation_holds(strands, left, right, vectors):
@@ -408,11 +392,10 @@ def linear_prefix(a, b):
     return n
 
 
-# Every letter tuple of length 0-8 over s1, S1 and r1, reduced or not.
 ONE_INDEX = [Letter(kind, 1) for kind in (SIGMA, SIGMA_INV, RHO)]
-SHORT_TUPLES = [
-    word for size in range(9) for word in itertools.product(ONE_INDEX, repeat=size)
-]
+# Every letter tuple of length 0-8 over s1, S1 and r1, reduced or not: the
+# two-strand slice of the enumerated words.
+SHORT_TUPLES = every_tuple(2, EXHAUSTIVE_LENGTHS[2])
 
 
 class TestConjugatorSplit:

@@ -201,14 +201,15 @@ class TestEq:
         assert "0 random probes" in lines[1]
 
     def test_vbn_negative_battery_exits_1(self, capsys):
-        code, out, err = run(
-            capsys,
-            "eq", "--n", "3", "--w1", "r1 s2 s1", "--w2", "s2 s1 r2",
-            "--battery", "-5", "--seed", "1",
-        )
-        assert code == 1
-        assert out == ""
-        assert "battery" in err
+        # The virtual branch, then the two complete deciders, which never run
+        # the battery but reject the flag all the same.
+        for n, w1, w2 in [("3", "r1 s2 s1", "s2 s1 r2"), ("2", "s1", "s1"), ("3", "s1", "s2")]:
+            code, out, err = run(
+                capsys, "eq", "--n", n, "--w1", w1, "--w2", w2, "--battery", "-5", "--seed", "1"
+            )
+            assert code == 1
+            assert out == ""
+            assert "battery" in err
 
     def test_group_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -497,6 +498,31 @@ class TestOutputFiles:
         assert out == ""
         assert err.startswith(f"vbraid {argv[0]}: error: ")
         assert [path.read_text() for path in paths] == [self.OLD] * len(paths)
+
+    @pytest.mark.parametrize(
+        "argv, paths",
+        [
+            (
+                ["hunt", "--n", "3", "--count", "4", "--length", "3", "--seed", "1",
+                 "--workers", "0"],
+                {"--out": "new.json", "--fixers-out": "fixers.jsonl"},
+            ),
+            (["verify-diagram", "--samples", "0", "--seed", "1"], {"--json": "new.json"}),
+            (
+                ["hunt", "--n", "3", "--count", "4", "--length", "3", "--seed", "1"],
+                {"--out": "new.json", "--fixers-out": "missing/fixers.jsonl"},
+            ),
+        ],
+        ids=["hunt-workers-0", "verify-diagram-samples-0", "hunt-fixers-out-unopenable"],
+    )
+    def test_a_new_file_is_removed_again(self, argv, paths, capsys, tmp_path):
+        for flag, name in paths.items():
+            argv = [*argv, flag, str(tmp_path / name)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"vbraid {argv[0]}: error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_finished_run_replaces_a_longer_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

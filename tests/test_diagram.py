@@ -6,8 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vbraid import diagram
 from vbraid.action import act_quad, act_sigma, act_sigma_inv
@@ -24,9 +22,6 @@ from vbraid.diagram import (
     verify_diagram,
 )
 from vbraid.words import RHO, SIGMA, SIGMA_INV, BraidWord, parse_word, random_reduced_word
-
-ints = st.integers(-(10**6), 10**6)
-quads = st.tuples(ints, ints, ints, ints)
 
 # sha256 pins of deterministic diagram outputs, fixed before the law checks
 # were folded into one routine.
@@ -139,15 +134,6 @@ class TestArrowTable:
     def test_every_arrow_on_samples(self, a):
         check = verify_arrow(a, 400, random.Random(hash(a.describe()) & 0xFFFF))
         assert check.ok, check.as_dict()
-
-    @settings(max_examples=300)
-    @given(quads, st.sampled_from([a for a in arrow_table() if a.generator != RHO]))
-    def test_closed_form_agrees_wherever_source_matches(self, quad, a):
-        if pattern_matches(BOXES[a.source], quad):
-            image = act_quad(a.generator, quad)
-            assert image == a.closed_form(*quad)
-            assert pattern_matches(BOXES[a.target], image)
-            assert l1_norm(image) > l1_norm(quad)
 
 
 FLIP = {"0": "0", "+": "-", "-": "+", "+0": "-0", "-0": "+0"}

@@ -1,9 +1,8 @@
+import itertools
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vbraid import words
 from vbraid.words import (
@@ -25,21 +24,56 @@ from vbraid.words import (
 )
 
 
-def letters_strategy(strands):
-    return st.lists(
-        st.builds(
-            Letter,
-            st.sampled_from([SIGMA, SIGMA_INV, RHO]),
-            st.integers(1, strands - 1),
-        ),
-        max_size=30,
-    )
+KINDS = (SIGMA, SIGMA_INV, RHO)
+
+# Strand count -> the length up to which every letter tuple is enumerated.
+EXHAUSTIVE_LENGTHS = {2: 8, 3: 5, 4: 4}
 
 
-def words_strategy(min_strands=2, max_strands=6):
-    return st.integers(min_strands, max_strands).flatmap(
-        lambda n: letters_strategy(n).map(lambda ls: BraidWord(n, tuple(ls)))
-    )
+def every_tuple(strands, longest):
+    """Every letter tuple of at most ``longest`` letters on ``strands``
+    strands, reduced or not: shorter first, and in the order of
+    ``itertools.product`` over s1, S1, r1, s2, S2, r2, ..."""
+    alphabet = [Letter(kind, i) for i in range(1, strands) for kind in KINDS]
+    return [
+        letters
+        for size in range(longest + 1)
+        for letters in itertools.product(alphabet, repeat=size)
+    ]
+
+
+def input_words():
+    """The words the algebraic properties are checked on: every letter tuple
+    up to ``EXHAUSTIVE_LENGTHS``, then 1,000 seeded random tuples of 0-30
+    letters on 2-6 strands. None is reduced on purpose."""
+    for strands, longest in EXHAUSTIVE_LENGTHS.items():
+        for letters in every_tuple(strands, longest):
+            yield BraidWord(strands, letters)
+    rng = random.Random(2016)
+    for _ in range(1000):
+        strands = rng.randint(2, 6)
+        yield BraidWord(
+            strands,
+            tuple(
+                Letter(rng.choice(KINDS), rng.randint(1, strands - 1))
+                for _ in range(rng.randint(0, 30))
+            ),
+        )
+
+
+WORDS = list(input_words())
+
+
+class TestInputWords:
+    def test_sizes(self):
+        assert len(WORDS) == 27553
+        sizes = {n: len(every_tuple(n, k)) for n, k in EXHAUSTIVE_LENGTHS.items()}
+        assert sizes == {2: 9841, 3: 9331, 4: 7381}
+        exhaustive = sum(sizes.values())
+        assert len(set(WORDS[:exhaustive])) == exhaustive
+        drawn = WORDS[exhaustive:]
+        assert {w.strands for w in drawn} == set(range(2, 7))
+        assert {len(w) for w in drawn} == set(range(31))
 
 
 class TestParse:
@@ -156,10 +190,9 @@ class TestFormat:
         assert format_word(BraidWord(2)) == ""
         assert format_word(BraidWord(2, (Letter(RHO, 1), Letter(SIGMA_INV, 1)))) == "r1 S1"
 
-    @settings(max_examples=200)
-    @given(words_strategy())
-    def test_roundtrip(self, word):
-        assert parse_word(format_word(word), word.strands) == word
+    def test_roundtrip(self):
+        for word in WORDS:
+            assert parse_word(format_word(word), word.strands) == word
 
 
 class TestFreeReduce:
@@ -177,16 +210,14 @@ class TestFreeReduce:
         for first, second in zip(word.letters, word.letters[1:]):
             assert not cancels(first, second)
 
-    @settings(max_examples=200)
-    @given(words_strategy())
-    def test_idempotent(self, word):
-        once = free_reduce(word)
-        assert free_reduce(once) == once
+    def test_idempotent(self):
+        for word in WORDS:
+            once = free_reduce(word)
+            assert free_reduce(once) == once, word
 
-    @settings(max_examples=200)
-    @given(words_strategy())
-    def test_preserves_permutation(self, word):
-        assert permutation(free_reduce(word)) == permutation(word)
+    def test_preserves_permutation(self):
+        for word in WORDS:
+            assert permutation(free_reduce(word)) == permutation(word), word
 
     def test_a_reduced_word_is_returned_itself(self):
         word = parse_word("s1 r1 S1 s2", 3)
@@ -205,15 +236,13 @@ class TestInverse:
         assert inverse(BraidWord(2)) == BraidWord(2)
         assert inverse(parse_word("s1 S2", 3)) == parse_word("s2 S1", 3)
 
-    @settings(max_examples=200)
-    @given(words_strategy())
-    def test_product_with_inverse_reduces_to_identity(self, word):
-        assert free_reduce(word * inverse(word)).letters == ()
+    def test_product_with_inverse_reduces_to_identity(self):
+        for word in WORDS:
+            assert free_reduce(word * inverse(word)).letters == (), word
 
-    @settings(max_examples=200)
-    @given(words_strategy())
-    def test_involution(self, word):
-        assert inverse(inverse(word)) == word
+    def test_involution(self):
+        for word in WORDS:
+            assert inverse(inverse(word)) == word
 
 
 class TestRandomReducedWord:
@@ -334,11 +363,10 @@ class TestPermutation:
     def test_crossing_and_virtual_agree(self):
         assert permutation(parse_word("s2 s1", 3)) == permutation(parse_word("r2 r1", 3))
 
-    @settings(max_examples=200)
-    @given(words_strategy())
-    def test_inverse_gives_identity(self, word):
-        identity = tuple(range(1, word.strands + 1))
-        assert permutation(word * inverse(word)) == identity
+    def test_inverse_gives_identity(self):
+        for word in WORDS:
+            identity = tuple(range(1, word.strands + 1))
+            assert permutation(word * inverse(word)) == identity, word
 
 
 class TestBraidWord:
