@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 validation error, 2 verification failure (a
 failing diagram check, a certificate violation, or a hunt that leaves a
 kernel candidate; the hunt writes its report first).
-Every randomized subcommand requires an explicit --seed; ``eq`` picks its
-decider from the words and is randomized only on virtual words of n >= 3
-with --battery > 0.
+Every randomized subcommand requires an explicit --seed; ``eq`` is one call
+to ``wordproblem.distinguish_vbn``, randomized only on virtual words of
+n >= 3 with --battery > 0.
 Output files (--out, --fixers-out, --json) are opened before the work
 starts, so an unwritable path fails at once with exit 1; an existing file
 keeps its bytes until the finished work replaces them, and a file the run
@@ -24,11 +24,14 @@ from random import Random
 from .action import Coordinates, act_word, base_vector
 from .diagram import VB2_START, certify_nontrivial, verify_diagram
 from .hunt import HuntConfig, hunt, moved_fraction
-from .wordproblem import are_equal_bn, are_equal_vb2, distinguish_vbn
+from .wordproblem import distinguish_vbn
 from .words import format_word, free_reduce, parse_word, permutation
 
 VALIDATION_ERROR = 1
 VERIFICATION_FAILURE = 2
+WORD_HELP = 'word such as "s1 S2 r1^3": s, S and r are sigma, its inverse and rho'
+BOUND_HELP = "probe entries lie in [-BOUND, BOUND]"
+STRANDS_HELP = "strand count (default: one more than the largest index, at least 2)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,17 +88,8 @@ def _cmd_act(args) -> int:
 def _cmd_eq(args) -> int:
     w1 = parse_word(args.w1, args.n)
     w2 = parse_word(args.w2, args.n)
-    if args.battery < 0:
-        raise ValueError(f"battery size must be nonnegative, got {args.battery}")
-    if args.n == 2:
-        verdict = are_equal_vb2(w1, w2)
-    elif w1.is_classical() and w2.is_classical():
-        verdict = are_equal_bn(w1, w2)
-    else:
-        if args.seed is None and args.battery > 0:
-            raise ValueError("--seed is required for the probe battery (--battery > 0)")
-        rng = None if args.seed is None else Random(args.seed)
-        verdict = distinguish_vbn(w1, w2, args.battery, rng)
+    rng = None if args.seed is None else Random(args.seed)
+    verdict = distinguish_vbn(w1, w2, args.battery, rng)
     print(verdict.status.value.capitalize())
     if verdict.witness:
         print(f"witness: {verdict.witness}")
@@ -188,58 +182,64 @@ def build_parser() -> argparse.ArgumentParser:
     act = commands.add_parser("act", help="apply a word to a coordinate vector")
     act.add_argument("--n", type=int, required=True, help="strand count")
     act.add_argument("--vector", required=True, help='CSV entries or "base"')
-    act.add_argument("--word", required=True)
+    act.add_argument("--word", required=True, help=WORD_HELP)
     act.set_defaults(func=_cmd_act)
 
     eq = commands.add_parser("eq", help="test two words for equality")
-    eq.add_argument("--n", type=int, required=True)
-    eq.add_argument("--w1", required=True)
-    eq.add_argument("--w2", required=True)
-    eq.add_argument("--battery", type=int, default=1000)
-    eq.add_argument("--seed", type=int)
+    eq.add_argument("--n", type=int, required=True, help="strand count")
+    eq.add_argument("--w1", required=True, help="first word")
+    eq.add_argument("--w2", required=True, help="second word")
+    eq.add_argument(
+        "--battery", type=int, default=1000,
+        help="random probes for virtual words on 3 or more strands (default %(default)s)",
+    )
+    eq.add_argument(
+        "--seed", type=int,
+        help="probe seed; needed only by virtual words on 3 or more strands with --battery > 0",
+    )
     eq.set_defaults(func=_cmd_eq)
 
     perm = commands.add_parser("perm", help="strand permutation of a word")
-    perm.add_argument("--n", type=int)
-    perm.add_argument("--word", required=True)
+    perm.add_argument("--n", type=int, help=STRANDS_HELP)
+    perm.add_argument("--word", required=True, help=WORD_HELP)
     perm.set_defaults(func=_cmd_perm)
 
     reduce_ = commands.add_parser("reduce", help="freely reduce a word")
-    reduce_.add_argument("--n", type=int)
-    reduce_.add_argument("--word", required=True)
+    reduce_.add_argument("--n", type=int, help=STRANDS_HELP)
+    reduce_.add_argument("--word", required=True, help=WORD_HELP)
     reduce_.set_defaults(func=_cmd_reduce)
 
     hunt_ = commands.add_parser("hunt", help="randomized kernel search")
-    hunt_.add_argument("--n", type=int, required=True)
+    hunt_.add_argument("--n", type=int, required=True, help="strand count")
     hunt_.add_argument("--count", type=int, required=True, help="number of words")
     hunt_.add_argument("--length", required=True, help="word length N or range LO:HI")
-    hunt_.add_argument("--seed", type=int, required=True)
-    hunt_.add_argument("--battery", type=int, default=100)
-    hunt_.add_argument("--bound", type=int, default=100)
+    hunt_.add_argument("--seed", type=int, required=True, help="seed of the word stream")
+    hunt_.add_argument("--battery", type=int, default=100, help="random probes per base fixer")
+    hunt_.add_argument("--bound", type=int, default=100, help=BOUND_HELP)
     hunt_.add_argument("--base", help="override the start vector (CSV)")
-    hunt_.add_argument("--workers", type=int, default=1)
+    hunt_.add_argument("--workers", type=int, default=1, help="processes, at most the CPU count")
     hunt_.add_argument("--out", required=True, help="JSON report path")
     hunt_.add_argument("--fixers-out", help="JSON-lines path for base fixers")
     hunt_.set_defaults(func=_cmd_hunt)
 
     moved = commands.add_parser("moved-fraction", help="fraction of probes a word moves")
-    moved.add_argument("--n", type=int)
-    moved.add_argument("--word", required=True)
-    moved.add_argument("--samples", type=int, default=10000)
-    moved.add_argument("--bound", type=int, default=100)
-    moved.add_argument("--seed", type=int, required=True)
+    moved.add_argument("--n", type=int, help=STRANDS_HELP)
+    moved.add_argument("--word", required=True, help=WORD_HELP)
+    moved.add_argument("--samples", type=int, default=10000, help="random probes")
+    moved.add_argument("--bound", type=int, default=100, help=BOUND_HELP)
+    moved.add_argument("--seed", type=int, required=True, help="probe seed")
     moved.set_defaults(func=_cmd_moved_fraction)
 
     verify = commands.add_parser("verify-diagram", help="check all diagram arrows")
-    verify.add_argument("--samples", type=int, default=1000)
-    verify.add_argument("--seed", type=int, required=True)
+    verify.add_argument("--samples", type=int, default=1000, help="random samples per arrow")
+    verify.add_argument("--seed", type=int, required=True, help="sample seed")
     verify.add_argument("--json", help="also write the report as JSON")
     verify.set_defaults(func=_cmd_verify_diagram)
 
     certify = commands.add_parser(
         "certify", help="certify a two-strand word as trivial or nontrivial"
     )
-    certify.add_argument("--word", required=True)
+    certify.add_argument("--word", required=True, help="two-strand word")
     certify.add_argument(
         "--start", default=",".join(map(str, VB2_START)), help="start vector (CSV)"
     )

@@ -9,7 +9,8 @@ its source region and strictly increases the L1 norm, and each virtual step
 permutes coordinates, preserving the norm.  A nonempty reduced word hence
 ends at a vector of larger norm, or at the pair-swapped start, and both
 differ from the start vector.  ``VB2_START`` = (0, 2, 0, 1) is such a
-vector, so its image decides equality in VB_2 (``wordproblem.are_equal_vb2``).
+vector, so its image decides equality in VB_2 (``wordproblem.distinguish_vbn``
+on two strands).
 
 Sign symbols are '0', '+', '-', '+0' and '-0', denoting zero, positive,
 negative, nonnegative and nonpositive entries, as the sign table ``_SIGNS``

@@ -3,9 +3,11 @@
 Equality of classical braid words is decided completely by comparing images
 of the base vector (0, 1, ..., 0, 1); the action separates distinct braids.
 On two strands the full virtual braid group is likewise separated by the
-vector ``diagram.VB2_START``, as that module proves.  For three or more
-strands faithfulness of the action is an open question, so the general
-decider is sound but incomplete: it reports Distinct only with a concrete
+vector ``diagram.VB2_START``, as that module proves.  ``distinguish_vbn`` is
+the one entry point for a pair: it applies these two complete deciders where
+they hold, on two strands and to two classical words.  For virtual words on
+three or more strands faithfulness of the action is an open question, so
+there it is sound but incomplete: it reports Distinct only with a concrete
 witness and otherwise answers Equal solely for letter-identical reduced
 words, else Unknown.
 
@@ -137,42 +139,38 @@ def are_equal_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
     return _decide(probe, w1, w2, why)
 
 
-def are_equal_vb2(w1: BraidWord, w2: BraidWord) -> Verdict:
-    """Decide equality in the two-strand virtual braid group; never Unknown.
-
-    The action on (0, 2, 0, 1) is faithful, so equal images mean equal
-    group elements.
-    """
-    if w1.strands != 2 or w2.strands != 2:
-        raise ValueError("the two-strand decider needs words on exactly 2 strands")
-    probe = Coordinates(2, VB2_START)
-    why = f"equal image of {probe.to_csv()}, on which the two-strand action is faithful"
-    return _decide(probe, w1, w2, why)
-
-
 def distinguish_vbn(
     w1: BraidWord, w2: BraidWord, battery: int = 1000, rng: Random | None = None
 ) -> Verdict:
     """Sound equality test for virtual braid words on any strand count.
 
-    Returns Distinct when the strand permutations differ, when the base
+    Words on two strands, and two classical words, go to the complete
+    deciders as given: never Unknown, and no probe is drawn.  Otherwise it
+    returns Distinct when the strand permutations differ, when the base
     vector is moved differently, or when any of ``battery`` random probe
-    vectors is.  Returns Equal only for letter-identical reduced words or
-    on two strands, where the complete decider applies.  Otherwise Unknown:
-    for three or more strands no faithful vector is known.  A negative
-    ``battery`` is a ValueError; ``rng`` may be None only when ``battery``
-    is 0, which draws no probe.
+    vectors is; Equal only for letter-identical reduced words; else Unknown,
+    for no faithful vector is known.  A negative ``battery`` is a ValueError,
+    and so is ``rng`` None with ``battery`` > 0 on a pair the complete
+    deciders leave, before any work.
     """
     if w1.strands != w2.strands:
         raise ValueError(f"strand counts differ: {w1.strands} vs {w2.strands}")
     if battery < 0:
         raise ValueError(f"battery size must be nonnegative, got {battery}")
+    if w1.strands == 2:
+        probe = Coordinates(2, VB2_START)
+        why = f"equal image of {probe.to_csv()}, on which the two-strand action is faithful"
+        return _decide(probe, w1, w2, why)
+    if w1.is_classical() and w2.is_classical():
+        return are_equal_bn(w1, w2)
+    if battery > 0 and rng is None:
+        raise ValueError(
+            "the probe battery (battery > 0) needs a seeded Random: --seed on the command line"
+        )
     # Free reduction keeps the action, so the checks below use the reduced words.
     w1, w2 = free_reduce(w1), free_reduce(w2)
     if w1.letters == w2.letters:
         return Verdict(Equality.EQUAL, witness="identical words after free reduction")
-    if w1.strands == 2:
-        return are_equal_vb2(w1, w2)
 
     p1, p2 = permutation(w1), permutation(w2)
     if p1 != p2:
@@ -187,8 +185,6 @@ def distinguish_vbn(
         return verdict
 
     if battery > 0:
-        if rng is None:
-            raise ValueError("a seeded Random is required for the probe battery")
         # The action is a bijection: p.w1 != p.w2 exactly when w1 w2^-1 moves p.
         quotient = _reduced(w1.letters + _inverted(w2.letters))
         probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)

@@ -76,6 +76,13 @@ class TestQuadActions:
         for quad in QUADS:
             assert act_quad(RHO, act_quad(RHO, quad)) == quad
 
+    def test_quad_step_matches_the_word_engine(self):
+        # act_quad and apply_letters each write the rho swap out; a wrong
+        # swap can still be an involution that keeps b + d.
+        for kind in (SIGMA, SIGMA_INV, RHO):
+            for quad in QUADS:
+                assert act_quad(kind, quad) == tuple(apply_letters(quad, [Letter(kind, 1)]))
+
     def test_pair_sum_conserved(self):
         for quad in QUADS:
             for image in (act_sigma(quad), act_sigma_inv(quad), act_quad(RHO, quad)):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -13,6 +14,7 @@ import vbraid.cli
 from vbraid import diagram
 from vbraid.cli import main
 from vbraid.hunt import HuntReport
+from vbraid.wordproblem import distinguish_vbn
 from vbraid.words import (
     MAX_STRANDS,
     SIGMA,
@@ -210,6 +212,21 @@ class TestEq:
             assert code == 1
             assert out == ""
             assert "battery" in err
+
+    def test_prints_the_verdict_of_distinguish_vbn(self, capsys):
+        for k, (n, w1, w2) in enumerate(eq_pairs()):
+            verdict = distinguish_vbn(
+                parse_word(w1, n), parse_word(w2, n), 50, random.Random(k)
+            )
+            lines = [verdict.status.value.capitalize()]
+            if verdict.witness:
+                lines.append(f"witness: {verdict.witness}")
+            if verdict.images is not None:
+                left, right = (",".join(map(str, side)) for side in verdict.images)
+                lines.append(f"images: {left} vs {right}")
+            argv = ["eq", "--n", str(n), "--w1", w1, "--w2", w2, "--battery", "50"]
+            code, out, err = run(capsys, *argv, "--seed", str(k))
+            assert (code, out.splitlines(), err) == (0, lines, ""), (n, w1, w2)
 
     def test_group_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -581,6 +598,16 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 1
+
+
+class TestHelp:
+    def test_every_option_has_help(self):
+        parser = vbraid.cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, command in commands.choices.items():
+            for action in command._actions:
+                if action.option_strings and action.dest != "help":
+                    assert action.help, (name, action.option_strings)
 
 
 class TestReadme:

@@ -13,10 +13,10 @@ from vbraid.wordproblem import (
     Equality,
     Verdict,
     are_equal_bn,
-    are_equal_vb2,
     distinguish_vbn,
 )
 from vbraid.words import (
+    RHO,
     BraidWord,
     Letter,
     format_word,
@@ -28,7 +28,7 @@ from vbraid.words import (
 )
 
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
-PINNED_VERDICTS = "a27d47d929c7357871a1c3160259c76e3241a65f560d1e525c3aa858fb382ae4"
+PINNED_VERDICTS = "dc5e01e6981dbe5151ee7a21fd5c878df71af1031b4f714b2f9e34f3f67d5b4f"
 
 
 class TestBn:
@@ -68,21 +68,19 @@ class TestBn:
 
 
 class TestVb2:
+    # On two strands distinguish_vbn is the complete decider and draws no
+    # probe, so the default battery needs no rng.
     def test_burau_kernel_word_distinct_from_identity(self):
-        verdict = are_equal_vb2(parse_word(BURAU_KERNEL_WORD, 2), BraidWord(2))
+        verdict = distinguish_vbn(parse_word(BURAU_KERNEL_WORD, 2), BraidWord(2))
         assert verdict.status is Equality.DISTINCT
 
     def test_rho_square_equal_identity(self):
-        verdict = are_equal_vb2(parse_word("r1 r1", 2), BraidWord(2))
+        verdict = distinguish_vbn(parse_word("r1 r1", 2), BraidWord(2))
         assert verdict.status is Equality.EQUAL
 
     def test_crossing_and_virtual_do_not_commute(self):
-        verdict = are_equal_vb2(parse_word("s1 r1", 2), parse_word("r1 s1", 2))
+        verdict = distinguish_vbn(parse_word("s1 r1", 2), parse_word("r1 s1", 2))
         assert verdict.status is Equality.DISTINCT
-
-    def test_rejects_other_strand_counts(self):
-        with pytest.raises(ValueError):
-            are_equal_vb2(parse_word("s1", 3), parse_word("s1", 3))
 
 
 class TestVbn:
@@ -143,6 +141,20 @@ class TestVbn:
         gamma = parse_word("r2 r1 r2", 3)
         with pytest.raises(ValueError):
             distinguish_vbn(beta, gamma, 10, None)
+
+    def test_classical_words_go_to_the_braid_decider(self):
+        w1, w2 = parse_word("s1 s2 s1", 3), parse_word("s2 s1 s2", 3)
+        for battery in (0, 1000):
+            verdict = distinguish_vbn(w1, w2, battery, None)
+            assert verdict == are_equal_bn(w1, w2)
+            assert verdict.status is Equality.EQUAL
+            assert verdict.witness.endswith("which separates distinct braids")
+
+    def test_a_missing_rng_is_rejected_before_any_work(self):
+        # Even a pair the permutation or free reduction would decide.
+        for w1, w2 in (("r1", "r2"), ("r1 s2", "r1 s2")):
+            with pytest.raises(ValueError, match="seeded Random"):
+                distinguish_vbn(parse_word(w1, 3), parse_word(w2, 3), 10, None)
 
     def test_an_empty_battery_needs_no_rng(self):
         beta = parse_word("r1 r2 r1", 3)
@@ -234,7 +246,7 @@ class TestSoundness:
         for _ in range(20):
             word = random_reduced_word(2, rng.randint(0, 20), rng)
             product = word * inverse(word)
-            assert are_equal_vb2(product, BraidWord(2)).status is Equality.EQUAL
+            assert distinguish_vbn(product, BraidWord(2)).status is Equality.EQUAL
             assert free_reduce(product).letters == ()
 
 
@@ -274,9 +286,13 @@ def first_moved_probe(letters, width, battery, rng):
 
 
 def whole_word_decision(group, w1, w2, battery, rng):
-    if group == "vbn" and free_reduce(w1).letters == free_reduce(w2).letters:
-        return Verdict(Equality.EQUAL, witness="identical words after free reduction")
-    if group == "vbn" and w1.strands > 2:
+    """The braid decider for group "bn"; otherwise, in distinguish_vbn's
+    order, the two-strand decider on two strands, the braid decider on two
+    classical words, and the battery path for the rest."""
+    classical = all(letter.kind != RHO for letter in w1.letters + w2.letters)
+    if group != "bn" and w1.strands > 2 and not classical:
+        if free_reduce(w1).letters == free_reduce(w2).letters:
+            return Verdict(Equality.EQUAL, witness="identical words after free reduction")
         p1, p2 = permutation(w1), permutation(w2)
         if p1 != p2:
             return Verdict(
@@ -295,7 +311,7 @@ def whole_word_decision(group, w1, w2, battery, rng):
             f"{battery} random probes; equality is undecided for "
             f"{w1.strands} strands",
         )
-    if group == "bn":
+    if group == "bn" or w1.strands > 2:
         probe = base_vector(w1.strands)
         witness = (
             f"equal image of the base vector {probe.to_csv()}, "
@@ -314,8 +330,6 @@ def whole_word_decision(group, w1, w2, battery, rng):
 def library_decision(group, w1, w2, battery, rng):
     if group == "bn":
         return are_equal_bn(w1, w2)
-    if group == "vb2":
-        return are_equal_vb2(w1, w2)
     return distinguish_vbn(w1, w2, battery, rng)
 
 
@@ -399,8 +413,8 @@ class TestDifferingPart:
         assert statuses == {"equal", "distinct", "unknown"}
 
     def test_verdict_batch_is_pinned(self):
-        # Computed with the whole-word deciders, before they acted on the
-        # differing part only.
+        # Computed with the whole-word reference, in the order of
+        # whole_word_decision: the complete deciders before the battery.
         text = json.dumps(decision_records(library_decision), sort_keys=True)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_VERDICTS
@@ -512,7 +526,7 @@ class TestWorkDone:
             other = BraidWord(2, word.letters[:cut] + pair + word.letters[cut:])
             counter = LetterCounter(wordproblem.apply_letters)
             monkeypatch.setattr(wordproblem, "apply_letters", counter)
-            assert are_equal_vb2(word, other).status is Equality.EQUAL
+            assert distinguish_vbn(word, other).status is Equality.EQUAL
             monkeypatch.undo()
             assert sum(counter.calls) <= len(pair)
 
