@@ -13,6 +13,15 @@ c - a in e and subtracts, rather than adds, the two terms added to a and c.
 The virtual crossing swaps the two pairs, (a, b, c, d) -> (c, d, a, b).
 Words act on the right: the leftmost letter is applied first.
 
+The code evaluates this formula by cases on the signs of b, d and e and
+forms no term that the signs make zero.  When e <= 0 the positive crossing
+gives (b + c, d, a + d, b) and the inverse (c - b, d, a - d, b): the new b
+and d are the old d and b objects, swapped as they are.  When e > 0, d - e
+and b + e are formed once as the new b and d, and a and c each become the
+sum or difference of two entries, or stay as they are.  Entries meet only
++, - and the comparisons < 0 and > 0, so the action runs unchanged on any
+number type that has these.
+
 All arithmetic is exact.  Entries are unbounded Python integers; iterated
 crossings grow coordinates without bound and no fixed-width type is safe.
 """
@@ -31,18 +40,37 @@ Quad = tuple[int, int, int, int]
 
 
 def _cross(kind: int, a: int, b: int, c: int, d: int) -> Quad:
-    """The positive crossing of the module docstring; its mirror for SIGMA_INV."""
-    bm = b if b < 0 else 0
-    dp = d if d > 0 else 0
-    e = (a - c if kind == SIGMA else c - a) - bm + dp
-    ep = e if e > 0 else 0
-    u = dp - e
-    w = bm + e
-    s = (b if b > 0 else 0) + (u if u > 0 else 0)
-    t = (d if d < 0 else 0) + (w if w < 0 else 0)
-    if kind == SIGMA:
-        return (a + s, d - ep, c + t, b + ep)
-    return (a - s, d - ep, c - t, b + ep)
+    """The positive crossing of the module docstring; its mirror for SIGMA_INV.
+
+    By cases on the signs of b, d and e; s and t are the terms added to a
+    and c, and the comments give the positive crossing's.  When e <= 0 the
+    new (b, d) are the old (d, b) as they are.  No term the signs make zero
+    is added (an entry that is itself 0 is not looked for), and the entries
+    see only +, - and the comparisons < 0 and > 0.
+    """
+    plus = kind == SIGMA
+    e = a - c if plus else c - a
+    if b < 0:
+        e -= b
+    if d > 0:
+        e += d
+    if not e > 0:
+        return (c + b, d, a + d, b) if plus else (c - b, d, a - d, b)
+    nb = d - e
+    nd = b + e
+    if d > 0 and nb > 0:  # s = b+ + nb, so a + s = c + b
+        na = c + b if plus else c - b
+    elif b > 0:  # s = b
+        na = a + b if plus else a - b
+    else:
+        na = a
+    if b < 0 and nd < 0:  # t = d- + nd, so c + t = a + d
+        nc = a + d if plus else a - d
+    elif d < 0:  # t = d
+        nc = c + d if plus else c - d
+    else:
+        nc = c
+    return (na, nb, nc, nd)
 
 
 def act_sigma(quad: Quad) -> Quad:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -106,7 +107,7 @@ class BraidWord:
 
     def is_classical(self) -> bool:
         """True when the word contains no virtual letter."""
-        return all(letter.kind != RHO for letter in self.letters)
+        return RHO not in map(itemgetter(0), self.letters)
 
 
 def _decimal(position: int, token: str, digits: str, what: str) -> int:

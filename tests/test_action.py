@@ -130,6 +130,136 @@ class TestInverseCrossingReference:
             assert act_sigma(act_sigma_inv(quad)) == quad
 
 
+def reference_sigma(quad):
+    """The positive crossing as the module docstring writes it, with max and
+    min: the reference that the action's case form must match."""
+    a, b, c, d = quad
+    bp, bm = max(b, 0), min(b, 0)
+    dp, dm = max(d, 0), min(d, 0)
+    e = a - bm - c + dp
+    return (
+        a + bp + max(dp - e, 0),
+        d - max(e, 0),
+        c + dm + min(bm + e, 0),
+        b + max(e, 0),
+    )
+
+
+def sign_case_quads(count, seed):
+    """Seeded quads whose entries are each 0, +-1 or a +-3000-bit integer, so
+    that every sign case of the crossing meets big entries."""
+    rng = random.Random(seed)
+
+    def entry():
+        size = rng.choice((0, 1, rng.getrandbits(3000) | 1 << 2999))
+        return rng.choice((-1, 1)) * size
+
+    return [tuple(entry() for _ in range(4)) for _ in range(count)]
+
+
+def reference_word(strands, letters):
+    """Act on the base vector one letter at a time with the two references."""
+    v = list(base_vector(strands).entries)
+    for kind, i in letters:
+        j = 2 * i - 2
+        crossing = reference_sigma if kind == SIGMA else reference_sigma_inv
+        v[j : j + 4] = crossing(tuple(v[j : j + 4]))
+    return tuple(v)
+
+
+class TestPositiveCrossingReference:
+    def test_quads(self):
+        for quad in QUADS:
+            assert act_sigma(quad) == reference_sigma(quad)
+
+    def test_sign_cases_with_big_entries(self):
+        # every sign of b, d and e, for both crossings, with 3000-bit entries
+        cases = set()
+        for quad in sign_case_quads(3000, 18):
+            assert act_sigma(quad) == reference_sigma(quad)
+            assert act_sigma_inv(quad) == reference_sigma_inv(quad)
+            a, b, c, d = quad
+            if max(map(abs, quad)).bit_length() == 3000:
+                for e in (a - c - min(b, 0) + max(d, 0), c - a - min(b, 0) + max(d, 0)):
+                    cases.add((b > 0, b < 0, d > 0, d < 0, e > 0))
+        assert len(cases) == 18
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_classical_words(self, seed):
+        rng = random.Random(seed)
+        strands = rng.randint(4, 8)
+        word = random_reduced_word(strands, rng.randint(2000, 5000), rng, virtual=False)
+        image = act_word(base_vector(strands), word).entries
+        assert image == reference_word(strands, word.letters)
+        assert max(map(abs, image)).bit_length() > 100
+
+
+class TestCrossingWorkDone:
+    """The crossing adds no term that the signs make zero: an entry whose
+    term is zero comes back as the same object, not as a copy."""
+
+    X, Y, Z = (random.Random(k).getrandbits(3000) | 1 << 2999 for k in range(3))
+
+    @pytest.mark.parametrize("kind, sign", [(SIGMA, 1), (SIGMA_INV, -1)])
+    def test_e_at_most_zero_swaps_b_and_d_as_they_are(self, kind, sign):
+        # e <= -X - Y - Z + Y + Z for every sign of b and d
+        for b, d in itertools.product((self.Y, -self.Y), (self.Z, -self.Z)):
+            quad = (-sign * (self.Y + self.Z), b, sign * self.X, d)
+            image = act_quad(kind, quad)
+            assert image[1] is d and image[3] is b
+
+    @pytest.mark.parametrize("kind, sign", [(SIGMA, 1), (SIGMA_INV, -1)])
+    def test_a_stays_when_b_and_d_are_not_positive(self, kind, sign):
+        # e = 2X + Y > 0, s = b+ + (d+ - e)+ = 0
+        quad = (sign * self.X, -self.Y, -sign * self.X, -self.Z)
+        image = act_quad(kind, quad)
+        assert image[0] is quad[0]
+        assert image[2] is not quad[2]
+
+    @pytest.mark.parametrize("kind, sign", [(SIGMA, 1), (SIGMA_INV, -1)])
+    def test_c_stays_when_b_and_d_are_positive(self, kind, sign):
+        # e = 2X + Z > 0, t = d- + (b- + e)- = 0
+        quad = (sign * self.X, self.Y, -sign * self.X, self.Z)
+        image = act_quad(kind, quad)
+        assert image[2] is quad[2]
+        assert image[0] is not quad[0]
+
+
+class Entry:
+    """An integer that allows only +, - and the comparisons < 0 and > 0."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __add__(self, other):
+        return Entry(self.value + other.value)
+
+    def __sub__(self, other):
+        return Entry(self.value - other.value)
+
+    def _zero(self, other):
+        if isinstance(other, Entry) or other != 0:
+            raise TypeError(f"comparison with {other!r}, not with 0")
+        return self.value
+
+    def __lt__(self, other):
+        return self._zero(other) < 0
+
+    def __gt__(self, other):
+        return self._zero(other) > 0
+
+    def __bool__(self):
+        raise TypeError("truth value of an entry")
+
+
+class TestCrossingArithmetic:
+    def test_entries_see_only_plus_minus_and_comparisons_with_zero(self):
+        for kind in (SIGMA, SIGMA_INV):
+            for quad in GRID:
+                image = act_quad(kind, tuple(map(Entry, quad)))
+                assert tuple(x.value for x in image) == act_quad(kind, quad)
+
+
 class TestVectorAction:
     def test_middle_generator(self):
         assert act((0, 1, 0, 1, 0, 1), "s2") == (0, 1, 1, 0, 0, 2)

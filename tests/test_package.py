@@ -2,9 +2,28 @@ import ast
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def compile_strictly(source, filename):
+    """Compile with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return compile(source, filename, "exec")
+
+
+def test_sources_compile_without_warnings():
+    # `is` against a literal and invalid escape sequences warn at compile time.
+    for path in sorted((SRC / "vbraid").glob("*.py")):
+        compile_strictly(path.read_text(), str(path))
+    for source in ("x is 0", "'\\d'"):
+        with pytest.raises(SyntaxError):
+            compile_strictly(source, "<negative control>")
 
 
 def test_submodule_import_gives_the_module():

@@ -413,3 +413,8 @@ class TestBraidWord:
 
     def test_str_is_canonical_text(self):
         assert str(parse_word("s1  r2", 3)) == "s1 r2"
+
+    def test_is_classical_matches_a_scan_of_the_letters(self):
+        for word in WORDS:
+            assert word.is_classical() == all(letter.kind != RHO for letter in word.letters)
+        assert {word.is_classical() for word in WORDS} == {True, False}
