@@ -9,7 +9,8 @@ n >= 3 with --battery > 0.
 Output files (--out, --fixers-out, --json) are opened before the work
 starts, so an unwritable path fails at once with exit 1; an existing file
 keeps its bytes until the finished work replaces them, and a file the run
-created is removed again if the run fails.
+created is removed again if the run fails; one file for both of hunt's
+outputs fails with exit 1 before the hunt.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ def _cmd_hunt(args) -> int:
         base=None if args.base is None else Coordinates.from_csv(args.base, args.n).entries,
     )
     with _output(args.out) as out, _output(args.fixers_out) as fixers:
+        # Each write truncates a seekable file, so one such file cannot hold both.
+        if fixers is not None and out.seekable():
+            if os.path.samestat(os.fstat(out.fileno()), os.fstat(fixers.fileno())):
+                raise ValueError(f"--out and --fixers-out name the same file: {args.fixers_out}")
         report = hunt(config, workers=args.workers)
         _write(out, json.dumps(report.as_dict(), indent=2) + "\n")
         if fixers is not None:

@@ -11,19 +11,18 @@ there it is sound but incomplete: it reports Distinct only with a concrete
 witness and otherwise answers Equal solely for letter-identical reduced
 words, else Unknown.
 
-Every comparison acts only where two words differ, and one routine,
-``words._common_prefix``, finds the letters they share.  Split them as
-x m1 z and x m2 z, with x the longest common prefix and z the longest common
-prefix of the reversed rests.  Every letter acts as a bijection of Z^{2n}, so
+One routine, ``_distinct_on``, acts on a pair, and only where the two words
+differ.  It splits them once with ``words._common_prefix`` as x m1 z and
+x m2 z, with x the longest common prefix and z the longest common prefix of
+the reversed rests.  Every letter acts as a bijection of Z^{2n}, so
 p.x.m1.z = p.x.m2.z exactly when p.x.m1 = p.x.m2: x is applied once and z
 only to build the witness images of a Distinct verdict.  On a faithful probe
 (the base vector in B_n, ``VB2_START`` on two strands) only the identity
 fixes p, and so only the identity fixes p.x: the words are equal exactly
-when p.m1 = p.m2.  The complete deciders therefore act on the two middles
-from the probe itself, and cross x and z only to report the images of the
-whole words in a Distinct witness.  They take that path when x is nonempty
-and |m1| + |m2| <= |x| + 2|z|: a Distinct pair, which then acts on its
-middles twice, does at most half again the work of the one pass above.
+when p.m1 = p.m2.  The two complete deciders alone set its ``faithful``
+flag, and it then first acts on the two middles from the probe itself when
+x is nonempty and |m1| + |m2| <= |x| + 2|z|: a Distinct pair, which then
+acts on its middles twice, does at most half again the work of one pass.
 
 Free reduction never changes the action (a cancelled pair is the identity),
 so the battery runs on the freely reduced quotient w1 w2^-1 and moves the
@@ -70,54 +69,31 @@ class Verdict:
     images: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _split(w1: BraidWord, w2: BraidWord) -> tuple[int, int]:
-    """(|x|, |z|) for the split w1 = x m1 z, w2 = x m2 z (module docstring)."""
-    a, b = w1.letters, w2.letters
-    x = _common_prefix(a, b)
-    return x, _common_prefix(a[x:][::-1], b[x:][::-1])
-
-
 def _distinct_on(
-    probe: Coordinates, w1: BraidWord, w2: BraidWord, x: int, z: int
+    probe: Coordinates, w1: BraidWord, w2: BraidWord, faithful: bool = False
 ) -> Verdict | None:
     """None when both words move ``probe`` alike, else Distinct with the images
-    of the whole words; the probe crosses x once, then m1 and m2, and z only
-    builds the images (module docstring).  It assumes nothing of the probe."""
+    of the whole words, by the split and passes of the module docstring.  Set
+    ``faithful`` only for a probe that the identity alone fixes."""
     a, b = w1.letters, w2.letters
-    shared = apply_letters(probe.entries, a[:x])
-    left = apply_letters(shared, a[x : len(a) - z])
-    right = apply_letters(shared, b[x : len(b) - z])
+    x = _common_prefix(a, b)
+    z = _common_prefix(a[x:][::-1], b[x:][::-1])
+    m1, m2 = a[x : len(a) - z], b[x : len(b) - z]
+    start = probe.entries
+    if faithful and x and len(m1) + len(m2) <= x + 2 * z:
+        if apply_letters(start, m1) == apply_letters(start, m2):
+            return None
+    shared = apply_letters(start, a[:x])
+    left, right = apply_letters(shared, m1), apply_letters(shared, m2)
     if left == right:
         return None
     suffix = a[len(a) - z :]
-    left = tuple(apply_letters(left, suffix))
-    right = tuple(apply_letters(right, suffix))
     return Verdict(
         Equality.DISTINCT,
         witness=f"vector {probe.to_csv()} is moved differently",
-        probe=probe.entries,
-        images=(left, right),
+        probe=start,
+        images=(tuple(apply_letters(left, suffix)), tuple(apply_letters(right, suffix))),
     )
-
-
-def _decide(probe: Coordinates, w1: BraidWord, w2: BraidWord, why: str) -> Verdict:
-    """Distinct with both images when the words move ``probe`` apart, else
-    Equal with witness ``why``; for callers whose probe separates the group.
-
-    A pair within the module docstring's length bound is first compared on
-    its middles from the probe itself, and equal images there are Equal
-    without crossing x or z; any other pair, and a Distinct one, takes
-    ``_distinct_on``.  A Distinct pair so tried pays |m1| + |m2| extra
-    letters, on the raw probe.
-    """
-    x, z = _split(w1, w2)
-    a, b = w1.letters, w2.letters
-    if x and len(a) + len(b) - 2 * (x + z) <= x + 2 * z:
-        start = probe.entries
-        if apply_letters(start, a[x : len(a) - z]) == apply_letters(start, b[x : len(b) - z]):
-            return Verdict(Equality.EQUAL, witness=why)
-    verdict = _distinct_on(probe, w1, w2, x, z)
-    return Verdict(Equality.EQUAL, witness=why) if verdict is None else verdict
 
 
 def are_equal_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
@@ -136,7 +112,7 @@ def are_equal_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
             )
     probe = base_vector(w1.strands)
     why = f"equal image of the base vector {probe.to_csv()}, which separates distinct braids"
-    return _decide(probe, w1, w2, why)
+    return _distinct_on(probe, w1, w2, faithful=True) or Verdict(Equality.EQUAL, witness=why)
 
 
 def distinguish_vbn(
@@ -160,7 +136,7 @@ def distinguish_vbn(
     if w1.strands == 2:
         probe = Coordinates(2, VB2_START)
         why = f"equal image of {probe.to_csv()}, on which the two-strand action is faithful"
-        return _decide(probe, w1, w2, why)
+        return _distinct_on(probe, w1, w2, faithful=True) or Verdict(Equality.EQUAL, witness=why)
     if w1.is_classical() and w2.is_classical():
         return are_equal_bn(w1, w2)
     if battery > 0 and rng is None:
@@ -179,8 +155,7 @@ def distinguish_vbn(
             witness="strand permutations differ",
             images=(p1, p2),
         )
-    x, z = _split(w1, w2)
-    verdict = _distinct_on(base_vector(w1.strands), w1, w2, x, z)
+    verdict = _distinct_on(base_vector(w1.strands), w1, w2)
     if verdict is not None:
         return verdict
 
@@ -189,7 +164,7 @@ def distinguish_vbn(
         quotient = _reduced(w1.letters + _inverted(w2.letters))
         probe = next(moved_probes(quotient, 2 * w1.strands, battery, BATTERY_BOUND, rng), None)
         if probe is not None:
-            return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2, x, z)
+            return _distinct_on(Coordinates(w1.strands, tuple(probe)), w1, w2)
     return Verdict(
         Equality.UNKNOWN,
         witness=f"agree on the strand permutation, the base vector and "

@@ -541,6 +541,30 @@ class TestOutputFiles:
         assert err.startswith(f"vbraid {argv[0]}: error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("fixers", ["f.json", "./f.json", "link.json"])
+    def test_hunt_refuses_one_file_for_both_outputs(
+        self, fixers, existing, capsys, tmp_path, monkeypatch
+    ):
+        # Each write truncates the file, so one file would lose one output.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(vbraid.cli, "hunt", must_not_run)
+        Path("link.json").symlink_to("f.json")
+        if existing:
+            Path("f.json").write_text(self.OLD)
+        code, out, err = run(
+            capsys,
+            "hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
+            "--out", "f.json", "--fixers-out", fixers,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"vbraid hunt: error: --out and --fixers-out name the same file: {fixers}\n"
+        if existing:
+            assert Path("f.json").read_text() == self.OLD
+        else:
+            assert not Path("f.json").exists()
+
     def test_a_finished_run_replaces_a_longer_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(self.OLD * 10**4)

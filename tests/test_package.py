@@ -82,18 +82,22 @@ def test_import_does_not_load_multiprocessing():
 ROOT = SRC.parent
 
 
+def _module_names(node):
+    """The names a module-level statement defines: a function, a class or
+    the plain targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _definitions(tree):
     """Module-level public names, and the public methods and properties of
     public classes, as (qualified name, name, first line, last line)."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
+        for name in _module_names(node):
             if not name.startswith("_"):
                 yield name, name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
@@ -133,5 +137,25 @@ def test_every_public_name_is_used_outside_its_definition():
         for path in sources
         for qualified, name, first, last in _definitions(trees[path])
         if all(where == path and first <= line <= last for where, line in uses.get(name, []))
+    ]
+    assert dead == []
+
+
+def test_every_private_module_name_is_used_outside_its_definition():
+    # A module-level private function, class or assignment must be used by
+    # another line of the package itself; dunder names are exempt.
+    sources = sorted((SRC / "vbraid").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    uses = {}
+    for path, tree in trees.items():
+        for line, name in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+    dead = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        for name in _module_names(node)
+        if name.startswith("_") and not name.endswith("__")
+        if all(where == path and node.lineno <= line <= node.end_lineno for where, line in uses.get(name, []))
     ]
     assert dead == []

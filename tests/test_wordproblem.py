@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vbraid import action, wordproblem
+from vbraid import action, wordproblem, words
 from vbraid.action import Coordinates, act_word, apply_letters, base_vector
 from vbraid.hunt import moved_fraction
 from vbraid.wordproblem import (
@@ -561,12 +561,33 @@ class TestWorkDone:
         monkeypatch.setattr(wordproblem, "apply_letters", counter)
         assert are_equal_bn(w1, w2).status is Equality.DISTINCT
         monkeypatch.undo()
-        shared, tail = wordproblem._split(w1, w2)
+        shared = words._common_prefix(w1.letters, w2.letters)
+        tail = words._common_prefix(w1.letters[shared:][::-1], w2.letters[shared:][::-1])
         middles = len(w1) + len(w2) - 2 * (shared + tail)
         one_pass = shared + middles + 2 * tail
         twice = shared > 0 and middles <= shared + 2 * tail
         assert sum(counter.calls) == one_pass + (middles if twice else 0)
         assert 2 * sum(counter.calls) <= 3 * one_pass
+
+    def test_a_probe_that_is_not_faithful_never_compares_middles_first(self, monkeypatch):
+        # On 3 strands equal middles on the base vector do not make the words
+        # equal, so x s1 z against x S1 z crosses x once and the two middles,
+        # and z only for a Distinct witness; a middles-first pass would add 2.
+        s1, S1 = parse_word("s1", 3), parse_word("S1", 3)
+        seen = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            x, z = random_reduced_word(3, 10, rng), random_reduced_word(3, 10, rng)
+            w1, w2 = x * s1 * z, x * S1 * z
+            if x.is_classical() or free_reduce(w1) is not w1 or free_reduce(w2) is not w2:
+                continue
+            counter = LetterCounter(wordproblem.apply_letters)
+            monkeypatch.setattr(wordproblem, "apply_letters", counter)
+            status = distinguish_vbn(w1, w2, 0).status
+            monkeypatch.undo()
+            seen.add(status)
+            assert sum(counter.calls) == 10 + 2 + (2 * 10 if status is Equality.DISTINCT else 0)
+        assert seen == {Equality.DISTINCT, Equality.UNKNOWN}
 
     def test_battery_acts_on_the_reduced_quotient(self, monkeypatch):
         limit = len(free_reduce(BETA_CUBED))
