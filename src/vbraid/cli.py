@@ -9,8 +9,9 @@ n >= 3 with --battery > 0.
 Output files (--out, --fixers-out, --json) are opened before the work
 starts, so an unwritable path fails at once with exit 1; an existing file
 keeps its bytes until the finished work replaces them, and a file the run
-created is removed again if the run fails; one file for both of hunt's
-outputs fails with exit 1 before the hunt.
+created is removed again if the run fails; one regular file for both of
+hunt's outputs fails with exit 1 before the hunt.  Only a regular file is
+truncated, so a pipe or a device such as /dev/null takes the output as is.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from random import Random
 
@@ -71,9 +73,15 @@ def _output(path: str | None):
         raise
 
 
+def _regular(handle) -> bool:
+    """Whether ``handle`` is a regular file, the one kind ``_write`` truncates:
+    a pipe, a terminal or a device such as /dev/null is only written."""
+    return stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+
+
 def _write(handle, text: str) -> None:
     """Replace the contents of a file opened by ``_output`` with ``text``."""
-    if handle.seekable():  # a pipe or terminal has nothing to truncate
+    if _regular(handle):
         handle.truncate(0)
     handle.write(text)
 
@@ -123,8 +131,8 @@ def _cmd_hunt(args) -> int:
         base=None if args.base is None else Coordinates.from_csv(args.base, args.n).entries,
     )
     with _output(args.out) as out, _output(args.fixers_out) as fixers:
-        # Each write truncates a seekable file, so one such file cannot hold both.
-        if fixers is not None and out.seekable():
+        # Each write truncates a regular file, so one such file cannot hold both.
+        if fixers is not None and _regular(out):
             if os.path.samestat(os.fstat(out.fileno()), os.fstat(fixers.fileno())):
                 raise ValueError(f"--out and --fixers-out name the same file: {args.fixers_out}")
         report = hunt(config, workers=args.workers)

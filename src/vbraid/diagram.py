@@ -12,10 +12,10 @@ differ from the start vector.  ``VB2_START`` = (0, 2, 0, 1) is such a
 vector, so its image decides equality in VB_2 (``wordproblem.distinguish_vbn``
 on two strands).
 
-Sign symbols are '0', '+', '-', '+0' and '-0', denoting zero, positive,
-negative, nonnegative and nonpositive entries, as the sign table ``_SIGNS``
-states; a pattern is a quadruple of symbols and names the set of quadruples
-satisfying it coordinatewise.
+Sign symbols '0', '+', '-', '+0' and '-0' admit zero, positive, negative,
+nonnegative and nonpositive entries (the sign table ``_SIGNS``); a pattern
+is a quadruple of symbols, met coordinatewise.  ``_BOX_OF``, built from the
+patterns and ``_SIGNS``, is the one box lookup (``classify``, ``_step``).
 
 This module encodes the nine boxes and the nineteen arrows (fourteen
 crossing arrows plus five virtual ones), checks every arrow on randomized
@@ -50,18 +50,6 @@ GENERATOR_NAMES = {SIGMA: "sigma", SIGMA_INV: "sigma^-1", RHO: "rho"}
 MAX_CERTIFY_LETTERS = 10**4
 
 SignPattern = tuple[str, str, str, str]
-
-
-def pattern_matches(pattern: SignPattern, quad: Quad) -> bool:
-    a, b, c, d = quad
-    s1, s2, s3, s4 = pattern
-    s = _SIGNS
-    return (
-        (a > 0) - (a < 0) in s[s1]
-        and (b > 0) - (b < 0) in s[s2]
-        and (c > 0) - (c < 0) in s[s3]
-        and (d > 0) - (d < 0) in s[s4]
-    )
 
 
 # The nine sign-pattern regions of Z^4, by name.
@@ -381,7 +369,7 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
     if word.strands != 2:
         raise ValueError("certification applies to words on exactly 2 strands")
     start = tuple(start)
-    if not pattern_matches(BOXES[START_BOX], start) or start[1] == start[3]:
+    if classify(start) != [START_BOX] or start[1] == start[3]:
         raise ValueError(
             "start vector must be (0, x, 0, y) with distinct positive x and y"
         )

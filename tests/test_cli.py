@@ -574,6 +574,23 @@ class TestOutputFiles:
         assert code == 0
         assert json.loads(path.read_text())["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hunt", "--n", "3", "--count", "20", "--length", "1:12", "--seed", "1",
+             "--out", "/dev/null"],
+            ["verify-diagram", "--samples", "10", "--seed", "1", "--json", "/dev/null"],
+            ["hunt", "--n", "3", "--count", "20", "--length", "1:12", "--seed", "1",
+             "--out", "/dev/null", "--fixers-out", "/dev/null"],
+        ],
+        ids=["hunt-out", "verify-diagram-json", "hunt-both-outputs"],
+    )
+    def test_dev_null_takes_the_output(self, argv, capsys):
+        # A character device is seekable but cannot be truncated.
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+
     def test_a_pipe_is_written_without_truncation(self):
         result = subprocess.run(
             [sys.executable, "-m", "vbraid.cli", "verify-diagram", "--samples", "5",

@@ -15,7 +15,6 @@ from vbraid.diagram import (
     certify_nontrivial,
     classify,
     l1_norm,
-    pattern_matches,
     sample_matching,
     verify_arrow,
     verify_closure,
@@ -31,6 +30,12 @@ CERTIFY_2000_31_SHA256 = "a30649218a7d91f6909be1b47e92be03c8352a2a255f2ffa06c445
 
 def sha256_json(payload):
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def pattern_matches(pattern, quad):
+    """Whether each entry's sign is one its symbol admits: a reference box
+    test from ``diagram._SIGNS`` alone, independent of ``diagram._BOX_OF``."""
+    return all((x > 0) - (x < 0) in diagram._SIGNS[s] for s, x in zip(pattern, quad))
 
 
 def arrow(label):
@@ -585,6 +590,26 @@ class TestCertify:
     def test_rejects_bad_start_vectors(self, start):
         with pytest.raises(ValueError):
             certify_nontrivial(parse_word("s1", 2), start=start)
+
+    def test_start_rule_on_the_sign_grid(self):
+        # A start is taken exactly when its signs are (0, +, 0, +) and b != d;
+        # the large magnitudes, drawn per entry, make b != d likely.
+        word = parse_word("s1 r1 S1", 2)
+        rng = random.Random(47)
+        starts = [(0, k, 0, k) for k in (2, 7, 10**30)]
+        for signs in itertools.product((-1, 0, 1), repeat=4):
+            starts.append(signs)
+            starts.append(tuple(s * rng.randint(1, 10**30) for s in signs))
+        taken = 0
+        for start in starts:
+            a, b, c, d = start
+            if a == c == 0 and b > 0 and d > 0 and b != d:
+                assert certified_nontrivial(certify_nontrivial(word, start))
+                taken += 1
+            else:
+                with pytest.raises(ValueError, match="start vector"):
+                    certify_nontrivial(word, start)
+        assert taken == 1
 
     def test_rejects_other_strand_counts(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = SRC.parent
 
 
 def compile_strictly(source, filename):
@@ -19,7 +20,11 @@ def compile_strictly(source, filename):
 
 def test_sources_compile_without_warnings():
     # `is` against a literal and invalid escape sequences warn at compile time.
-    for path in sorted((SRC / "vbraid").glob("*.py")):
+    # The package, the tests and the benchmark are read and compiled, not run.
+    folders = (SRC / "vbraid", ROOT / "tests", ROOT / "bench")
+    paths = [path for folder in folders for path in sorted(folder.glob("*.py"))]
+    assert {path.parent for path in paths} == set(folders)
+    for path in paths:
         compile_strictly(path.read_text(), str(path))
     for source in ("x is 0", "'\\d'"):
         with pytest.raises(SyntaxError):
@@ -77,9 +82,6 @@ def test_import_does_not_load_multiprocessing():
     # multiprocessing itself, so a plain import stays light.
     script = "import sys\nimport vbraid\nprint('multiprocessing' in sys.modules)\n"
     assert fresh_interpreter(script) == "False\n"
-
-
-ROOT = SRC.parent
 
 
 def _module_names(node):
