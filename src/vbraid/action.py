@@ -22,6 +22,14 @@ sum or difference of two entries, or stay as they are.  Entries meet only
 +, - and the comparisons < 0 and > 0, so the action runs unchanged on any
 number type that has these.
 
+``apply_letters`` acts letter by letter and serves the word action, the
+deciders and the hunt's base-vector screen.  The probe battery acts with
+one word on many probes, so it compiles the word once: ``_steps`` keeps a
+pair map, the offset of the entry pair at each position, which a virtual
+letter updates at compile time, and turns each crossing into a step on
+the two offsets it meets.  ``_run`` writes ``_cross`` out over a schedule,
+in place, and the tests pin the two to the same images.
+
 All arithmetic is exact.  Entries are unbounded Python integers; iterated
 crossings grow coordinates without bound and no fixed-width type is safe.
 """
@@ -37,6 +45,8 @@ from .words import (
 )
 
 Quad = tuple[int, int, int, int]
+# A crossing of the battery's schedule: (plus, p, p + 1, q, q + 1).
+_Step = tuple[bool, int, int, int, int]
 
 
 def _cross(kind: int, a: int, b: int, c: int, d: int) -> Quad:
@@ -146,8 +156,8 @@ def apply_letters(entries: Sequence[int], letters: Iterable[Letter]) -> list[int
     """Low-level engine: act on a raw entry sequence, returning a new list.
 
     No validation is performed; callers guarantee letter indices fit the
-    vector.  This is the hot path shared by the word action, the battery
-    screens and the kernel hunt.
+    vector.  The word action, the deciders and the hunt's base-vector screen
+    run on it; the probe battery runs a compiled schedule instead.
     """
     v = list(entries)
     for kind, i in letters:
@@ -159,6 +169,61 @@ def apply_letters(entries: Sequence[int], letters: Iterable[Letter]) -> list[int
                 kind, v[j], v[j + 1], v[j + 2], v[j + 3]
             )
     return v
+
+
+def _steps(letters: Iterable[Letter], at: list[int]) -> list[_Step]:
+    """Compile letters into a schedule of crossings (plus, p, p + 1, q, q + 1).
+
+    ``at`` is the pair map: ``at[k]`` is the offset of the entry pair that
+    stands at position k + 1.  A rho letter swaps two entries of ``at`` and
+    adds no step; a crossing at i crosses the pairs at offsets
+    p = at[i - 1] and q = at[i], and ``plus`` is True for SIGMA.  ``at`` is
+    left as it is after the letters.
+    """
+    steps = []
+    for kind, i in letters:
+        if kind == RHO:
+            at[i - 1], at[i] = at[i], at[i - 1]
+        else:
+            p, q = at[i - 1], at[i]
+            steps.append((kind == SIGMA, p, p + 1, q, q + 1))
+    return steps
+
+
+def _run(v: list[int], steps: list[_Step]) -> None:
+    """Run a schedule of ``_steps`` on ``v`` in place.
+
+    Each step is ``_cross`` on (v[p], v[p1], v[q], v[q1]) written out, by
+    the same sign cases, and stores only the entries that change.
+    """
+    for plus, p, p1, q, q1 in steps:
+        a = v[p]
+        b = v[p1]
+        c = v[q]
+        d = v[q1]
+        e = a - c if plus else c - a
+        if b < 0:
+            e -= b
+        if d > 0:
+            e += d
+        if not e > 0:
+            v[p] = c + b if plus else c - b
+            v[p1] = d
+            v[q] = a + d if plus else a - d
+            v[q1] = b
+            continue
+        nb = d - e
+        nd = b + e
+        if d > 0 and nb > 0:
+            v[p] = c + b if plus else c - b
+        elif b > 0:
+            v[p] = a + b if plus else a - b
+        if b < 0 and nd < 0:
+            v[q] = a + d if plus else a - d
+        elif d < 0:
+            v[q] = c + d if plus else c - d
+        v[p1] = nb
+        v[q1] = nd
 
 
 def moved_probes(
@@ -176,12 +241,27 @@ def moved_probes(
 
     Each probe crosses the conjugator x of letters = x m x^-1 once and m
     once (the split of the ``wordproblem`` module docstring), and the same
-    probes are yielded as by acting with the whole word.
+    probes are yielded as by acting with the whole word.  The word is
+    compiled once per call: x and m become schedules of their crossings
+    alone (``_steps``), and the virtual letters only move entry pairs in
+    the pair map.  Each probe runs x's schedule on a copy of itself and m's
+    on a copy of that; where m's virtual letters leave the map as x left
+    it, the two lists are compared as they are, else through the map.
     """
     if bound < 1:
         raise ValueError(f"probe bound must be positive, got {bound}")
     peel = min(_common_prefix(letters, _inverted(letters)), len(letters) // 2)
-    head, core = letters[:peel], letters[peel : len(letters) - peel]
+    at = list(range(0, width, 2))
+    head = _steps(letters[:peel], at)
+    shared_at = at[:]
+    core = _steps(letters[peel : len(letters) - peel], at)
+    # order[j] is the entry of the core's image that stands where the head's
+    # entry j does; None when the two maps agree.
+    order = None
+    if at != shared_at:
+        order = [0] * width
+        for p, q in zip(shared_at, at):
+            order[p], order[p + 1] = q, q + 1
     span = 2 * bound + 1
     bits = span.bit_length()
     getrandbits = rng.getrandbits
@@ -192,8 +272,14 @@ def moved_probes(
             while r >= span:
                 r = getrandbits(bits)
             probe.append(r - bound)
-        shared = apply_letters(probe, head)
-        if apply_letters(shared, core) != shared:
+        shared = probe[:]
+        _run(shared, head)
+        image = shared[:]
+        _run(image, core)
+        if order is None:
+            if image != shared:
+                yield probe
+        elif [image[j] for j in order] != shared:
             yield probe
 
 

@@ -369,7 +369,12 @@ def certify_nontrivial(word: BraidWord, start: Quad = VB2_START) -> Certificate:
     if word.strands != 2:
         raise ValueError("certification applies to words on exactly 2 strands")
     start = tuple(start)
-    if classify(start) != [START_BOX] or start[1] == start[3]:
+    if (
+        len(start) != 4
+        or not all(map(isinstance, start, (int,) * 4))
+        or classify(start) != [START_BOX]
+        or start[1] == start[3]
+    ):
         raise ValueError(
             "start vector must be (0, x, 0, y) with distinct positive x and y"
         )

@@ -281,8 +281,9 @@ def _scan_range(config: HuntConfig, start: int, stop: int) -> dict[tuple[Letter,
     base = list(config.start_entries())
     strands = config.strands
     found: dict[tuple[Letter, ...], Fraction] = {}
+    rng = Random()
     for index in range(start, stop):
-        rng = Random(config.seed * 2**64 + index)
+        rng.seed(config.seed * 2**64 + index)  # the stream of a new Random(that seed)
         letters = _reduced_letters(strands, rng.randint(low, high), rng)
         if apply_letters(base, letters) == base and letters not in found:
             found[letters] = moved_fraction(

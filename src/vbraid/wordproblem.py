@@ -29,6 +29,9 @@ so the battery runs on the freely reduced quotient w1 w2^-1 and moves the
 same probes as the unreduced one.  ``action.moved_probes`` splits its word w
 once as x m x^-1, with x the common prefix of w and w^-1 capped at half of w,
 and applies each probe to x once: p.x.m.x^-1 = p exactly when p.x.m = p.x.
+It compiles x and m once per call into schedules of their crossings, with
+the virtual letters folded into a map of where each entry pair stands, so
+a probe pays for the crossings of x and m and for nothing else.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from vbraid.words import (
     parse_word,
     random_reduced_word,
 )
-from test_wordproblem import LetterCounter
+from test_wordproblem import StepCounter, crossings
 from test_words import EXHAUSTIVE_LENGTHS, WORDS, every_tuple
 
 
@@ -258,6 +259,51 @@ class TestCrossingArithmetic:
             for quad in GRID:
                 image = act_quad(kind, tuple(map(Entry, quad)))
                 assert tuple(x.value for x in image) == act_quad(kind, quad)
+
+    def test_the_schedule_runner_too(self):
+        for kind in (SIGMA, SIGMA_INV):
+            for quad in GRID:
+                image, _ = run_step(kind, tuple(map(Entry, quad)), 0, 2, 4)
+                assert tuple(x.value for x in image) == act_quad(kind, quad)
+
+
+def run_step(kind, quad, p, q, width):
+    """Run the one-step schedule of a ``kind`` crossing at offsets p and q on
+    a vector of ``width`` entries holding the quad's (a, b) at p and (c, d)
+    at q: the image and the other entries."""
+    v = list(range(100, 100 + width))
+    v[p], v[p + 1], v[q], v[q + 1] = quad
+    action._run(v, [(kind == SIGMA, p, p + 1, q, q + 1)])
+    crossed = (p, p + 1, q, q + 1)
+    return (v[p], v[p + 1], v[q], v[q + 1]), [x for j, x in enumerate(v) if j not in crossed]
+
+
+class TestScheduleRunner:
+    """The battery runs its crossings through ``_run``, which writes the
+    crossing out a second time: on a one-step schedule it must give
+    ``_cross``'s image and leave every other entry alone."""
+
+    def test_grid_and_seeded_quads(self):
+        for kind in (SIGMA, SIGMA_INV):
+            for quad in QUADS:
+                assert run_step(kind, quad, 0, 2, 4) == (action._cross(kind, *quad), [])
+
+    @pytest.mark.parametrize("p, q, width", [(2, 0, 4), (0, 4, 6), (4, 0, 6), (6, 2, 8), (4, 2, 8)])
+    def test_other_offsets(self, p, q, width):
+        rest = [100 + j for j in range(width) if j not in (p, p + 1, q, q + 1)]
+        for kind in (SIGMA, SIGMA_INV):
+            for quad in QUADS[::5]:
+                assert run_step(kind, quad, p, q, width) == (action._cross(kind, *quad), rest)
+
+    def test_schedule_skips_virtual_letters_and_maps_the_pairs(self):
+        at = [0, 2, 4]
+        steps = action._steps(parse_word("r1 s1 r2 S2 s1", 3).letters, at)
+        # r1 swaps the pairs at positions 1 and 2, r2 then those at 2 and 3.
+        assert [(plus, p, q) for plus, p, _, q, _ in steps] == [
+            (True, 2, 0), (False, 4, 0), (True, 2, 4)
+        ]
+        assert all(p1 == p + 1 and q1 == q + 1 for _, p, p1, q, q1 in steps)
+        assert at == [2, 4, 0]
 
 
 class TestVectorAction:
@@ -497,6 +543,22 @@ class TestProbeStream:
             moved += len(expected)
         assert moved > 0
 
+    @pytest.mark.parametrize("strands, length, count", [(2, 8, 3), (3, 4, 20)])
+    def test_short_words_with_every_pair_map(self, strands, length, count):
+        # Every letter tuple of up to ``length`` letters, on probes with
+        # entries in [-1, 1], which words fix more often: the core's virtual
+        # letters leave the pair map as it is, swap two pairs or cycle three.
+        width = 2 * strands
+        maps = set()
+        for seed, letters in enumerate(every_tuple(strands, length)):
+            expected = whole_word_probes(letters, width, count, 1, random.Random(seed))
+            assert list(moved_probes(letters, width, count, 1, random.Random(seed))) == expected
+            peel = reference_peel(letters)
+            at = list(range(0, width, 2))
+            action._steps(letters[peel : len(letters) - peel], at)
+            maps.add(tuple(at))
+        assert len(maps) == math.factorial(strands)
+
     def test_stopping_early_leaves_the_stream_after_that_probe(self):
         rng = random.Random(4)
         reference = random.Random(4)
@@ -541,14 +603,16 @@ class TestConjugatorSplit:
     words, against the split found letter by letter."""
 
     def test_probes_cross_the_reference_conjugator_once(self, monkeypatch):
+        # One step per crossing of x, then of m; the virtual letters run none.
         assert len(SHORT_TUPLES) == 9841
-        counter = LetterCounter(action.apply_letters)
-        monkeypatch.setattr(action, "apply_letters", counter)
+        counter = StepCounter(action._run)
+        monkeypatch.setattr(action, "_run", counter)
         for letters in SHORT_TUPLES:
             counter.calls = []
             list(moved_probes(letters, 4, 1, 100, random.Random(0)))
             peel = reference_peel(letters)
-            assert counter.calls == [peel, len(letters) - 2 * peel], letters
+            core = letters[peel : len(letters) - peel]
+            assert counter.calls == [crossings(letters[:peel]), crossings(core)], letters
 
     def test_common_prefix_matches_a_linear_scan(self):
         other = {letter: ONE_INDEX[(k + 1) % 3] for k, letter in enumerate(ONE_INDEX)}

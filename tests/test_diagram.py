@@ -591,6 +591,13 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_nontrivial(parse_word("s1", 2), start=start)
 
+    @pytest.mark.parametrize(
+        "start", [(0, 2, 0), (0, 2, 0, 1, 5), ("0", "2", "0", "1"), (0, 2.0, 0, 1), ()]
+    )
+    def test_rejects_starts_that_are_not_four_integers(self, start):
+        with pytest.raises(ValueError, match=r"start vector must be \(0, x, 0, y\)"):
+            certify_nontrivial(parse_word("s1", 2), start=start)
+
     def test_start_rule_on_the_sign_grid(self):
         # A start is taken exactly when its signs are (0, +, 0, +) and b != d;
         # the large magnitudes, drawn per entry, make b != d likely.

@@ -482,6 +482,24 @@ class LetterCounter:
         return self.apply(entries, letters)
 
 
+class StepCounter:
+    """Stands in for the battery's schedule runner and records how many
+    crossings each run makes."""
+
+    def __init__(self, run):
+        self.run = run
+        self.calls = []
+
+    def __call__(self, entries, steps):
+        self.calls.append(len(steps))
+        return self.run(entries, steps)
+
+
+def crossings(letters):
+    """The letters that are not virtual."""
+    return sum(kind != RHO for kind, _ in letters)
+
+
 class TestWorkDone:
     @pytest.mark.parametrize("cut", [0, 1, 57, 100, 199, 200])
     def test_bn_acts_up_to_the_inserted_relator(self, cut, monkeypatch):
@@ -590,12 +608,12 @@ class TestWorkDone:
         assert seen == {Equality.DISTINCT, Equality.UNKNOWN}
 
     def test_battery_acts_on_the_reduced_quotient(self, monkeypatch):
-        limit = len(free_reduce(BETA_CUBED))
+        limit = crossings(free_reduce(BETA_CUBED).letters)
         rng = random.Random(3)
         for index in range(6):
             word = random_reduced_word(3, rng.randint(10, 30), rng)
-            counter = LetterCounter(action.apply_letters)
-            monkeypatch.setattr(action, "apply_letters", counter)
+            counter = StepCounter(action._run)
+            monkeypatch.setattr(action, "_run", counter)
             verdict = distinguish_vbn(BETA_CUBED * word, word, 1000, random.Random(index))
             monkeypatch.undo()
             # beta^3 fixes the base vector and the strand permutation, so
@@ -604,25 +622,28 @@ class TestWorkDone:
             assert counter.calls and max(counter.calls) <= limit
 
     def test_battery_probes_cross_the_conjugator_once(self, monkeypatch):
-        # BETA = x m x^-1 with |x| = 6, |m| = 8; SECOND with |x| = 5, |m| = 8.
+        # BETA = x m x^-1 with |x| = 6, |m| = 8 and 5 + 4 crossings; SECOND
+        # with |x| = 5, |m| = 8 and 4 + 4.  Virtual letters run no step.
         samples = 300
-        for word, letters in ((BETA, 6 + 8), (SECOND, 5 + 8)):
-            counter = LetterCounter(action.apply_letters)
-            monkeypatch.setattr(action, "apply_letters", counter)
+        for word, steps in ((BETA, 5 + 4), (SECOND, 4 + 4)):
+            counter = StepCounter(action._run)
+            monkeypatch.setattr(action, "_run", counter)
             moved_fraction(word, samples, BATTERY_BOUND, random.Random(5))
             monkeypatch.undo()
-            assert sum(counter.calls) == letters * samples
+            assert sum(counter.calls) == steps * samples
 
     def test_battery_crosses_the_conjugator_of_the_quotient_once(self, monkeypatch):
         # The reduced quotient of beta^3 w and w is the 36-letter reduced
-        # beta^3 = x m x^-1 with |x| = 6, so each probe acts on 30 letters.
+        # beta^3 = x m x^-1 with |x| = 6: 22 crossings, of which x holds 5
+        # and m 12, so each probe runs 17 steps.
         quotient = free_reduce(BETA_CUBED).letters
+        assert crossings(quotient) == 22
         rng = random.Random(3)
         for index in range(6):
             word = random_reduced_word(3, rng.randint(10, 30), rng)
-            counter = LetterCounter(action.apply_letters)
-            monkeypatch.setattr(action, "apply_letters", counter)
+            counter = StepCounter(action._run)
+            monkeypatch.setattr(action, "_run", counter)
             distinguish_vbn(BETA_CUBED * word, word, 1000, random.Random(index))
             monkeypatch.undo()
             _, drawn = first_moved_probe(quotient, 6, 1000, random.Random(index))
-            assert 0 < sum(counter.calls) <= 30 * drawn
+            assert 0 < sum(counter.calls) <= 17 * drawn
