@@ -22,13 +22,13 @@ sum or difference of two entries, or stay as they are.  Entries meet only
 +, - and the comparisons < 0 and > 0, so the action runs unchanged on any
 number type that has these.
 
-``apply_letters`` acts letter by letter and serves the word action, the
-deciders and the hunt's base-vector screen.  The probe battery acts with
-one word on many probes, so it compiles the word once: ``_steps`` keeps a
-pair map, the offset of the entry pair at each position, which a virtual
-letter updates at compile time, and turns each crossing into a step on
-the two offsets it meets.  ``_run`` writes ``_cross`` out over a schedule,
-in place, and the tests pin the two to the same images.
+One routine, ``_run``, writes that formula, and every action reaches it
+through a compiled schedule.  ``_steps`` keeps a pair map, the offset of
+the entry pair at each position, which a virtual letter updates at compile
+time, and turns each crossing into a step on the two offsets it meets.
+``act_quad`` runs a one-step schedule; ``apply_letters`` compiles its
+letters, runs them and puts the pairs back in position order; the probe
+battery compiles its word once and runs it on every probe.
 
 All arithmetic is exact.  Entries are unbounded Python integers; iterated
 crossings grow coordinates without bound and no fixed-width type is safe.
@@ -45,62 +45,34 @@ from .words import (
 )
 
 Quad = tuple[int, int, int, int]
-# A crossing of the battery's schedule: (plus, p, p + 1, q, q + 1).
+# A crossing of a schedule: (plus, p, p + 1, q, q + 1), plus True for SIGMA.
 _Step = tuple[bool, int, int, int, int]
-
-
-def _cross(kind: int, a: int, b: int, c: int, d: int) -> Quad:
-    """The positive crossing of the module docstring; its mirror for SIGMA_INV.
-
-    By cases on the signs of b, d and e; s and t are the terms added to a
-    and c, and the comments give the positive crossing's.  When e <= 0 the
-    new (b, d) are the old (d, b) as they are.  No term the signs make zero
-    is added (an entry that is itself 0 is not looked for), and the entries
-    see only +, - and the comparisons < 0 and > 0.
-    """
-    plus = kind == SIGMA
-    e = a - c if plus else c - a
-    if b < 0:
-        e -= b
-    if d > 0:
-        e += d
-    if not e > 0:
-        return (c + b, d, a + d, b) if plus else (c - b, d, a - d, b)
-    nb = d - e
-    nd = b + e
-    if d > 0 and nb > 0:  # s = b+ + nb, so a + s = c + b
-        na = c + b if plus else c - b
-    elif b > 0:  # s = b
-        na = a + b if plus else a - b
-    else:
-        na = a
-    if b < 0 and nd < 0:  # t = d- + nd, so c + t = a + d
-        nc = a + d if plus else a - d
-    elif d < 0:  # t = d
-        nc = c + d if plus else c - d
-    else:
-        nc = c
-    return (na, nb, nc, nd)
+# The one-step schedules of the two crossings on a quadruple.
+_QUAD_STEP = {SIGMA: ((True, 0, 1, 2, 3),), SIGMA_INV: ((False, 0, 1, 2, 3),)}
 
 
 def act_sigma(quad: Quad) -> Quad:
     """Image of a quadruple under the positive crossing."""
-    return _cross(SIGMA, *quad)
+    return act_quad(SIGMA, quad)
 
 
 def act_sigma_inv(quad: Quad) -> Quad:
     """Image of a quadruple under the inverse crossing."""
-    return _cross(SIGMA_INV, *quad)
+    return act_quad(SIGMA_INV, quad)
 
 
 def act_quad(kind: int, quad: Quad) -> Quad:
-    """Dispatch on the letter kind (SIGMA, SIGMA_INV or RHO); rho swaps the pairs."""
+    """Dispatch on the letter kind (SIGMA, SIGMA_INV or RHO): a crossing runs
+    the one-step schedule on the quad's four entries, rho swaps the pairs."""
     a, b, c, d = quad
-    if kind == SIGMA or kind == SIGMA_INV:
-        return _cross(kind, a, b, c, d)
     if kind == RHO:
         return (c, d, a, b)
-    raise ValueError(f"unknown letter kind {kind}")
+    step = _QUAD_STEP.get(kind)
+    if step is None:
+        raise ValueError(f"unknown letter kind {kind}")
+    v = [a, b, c, d]
+    _run(v, step)
+    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -156,19 +128,14 @@ def apply_letters(entries: Sequence[int], letters: Iterable[Letter]) -> list[int
     """Low-level engine: act on a raw entry sequence, returning a new list.
 
     No validation is performed; callers guarantee letter indices fit the
-    vector.  The word action, the deciders and the hunt's base-vector screen
-    run on it; the probe battery runs a compiled schedule instead.
+    vector.  The letters are compiled (``_steps``) and run (``_run``) on a
+    copy of the entries, and the pairs are read back in the order of the
+    final pair map, so the virtual letters move no entry at run time.
     """
     v = list(entries)
-    for kind, i in letters:
-        j = 2 * i - 2
-        if kind == RHO:
-            v[j], v[j + 1], v[j + 2], v[j + 3] = v[j + 2], v[j + 3], v[j], v[j + 1]
-        else:
-            v[j], v[j + 1], v[j + 2], v[j + 3] = _cross(
-                kind, v[j], v[j + 1], v[j + 2], v[j + 3]
-            )
-    return v
+    at = list(range(0, len(v), 2))
+    _run(v, _steps(letters, at))
+    return [v[k] for p in at for k in (p, p + 1)]
 
 
 def _steps(letters: Iterable[Letter], at: list[int]) -> list[_Step]:
@@ -190,11 +157,17 @@ def _steps(letters: Iterable[Letter], at: list[int]) -> list[_Step]:
     return steps
 
 
-def _run(v: list[int], steps: list[_Step]) -> None:
-    """Run a schedule of ``_steps`` on ``v`` in place.
+def _run(v: list[int], steps: Sequence[_Step]) -> None:
+    """Run a schedule of ``_steps`` on ``v`` in place: the one crossing formula.
 
-    Each step is ``_cross`` on (v[p], v[p1], v[q], v[q1]) written out, by
-    the same sign cases, and stores only the entries that change.
+    Each step is the positive crossing of the module docstring on
+    (a, b, c, d) = (v[p], v[p1], v[q], v[q1]), or its mirror when ``plus``
+    is False, by cases on the signs of b, d and e.  Only the entries that
+    change are stored, and when e <= 0 the new (b, d) are the old (d, b) as
+    they are.  s and t are the terms added to a and c, and the comments give
+    the positive crossing's.  No term the signs make zero is added (an entry
+    that is itself 0 is not looked for), and the entries see only +, - and
+    the comparisons < 0 and > 0.
     """
     for plus, p, p1, q, q1 in steps:
         a = v[p]
@@ -214,13 +187,13 @@ def _run(v: list[int], steps: list[_Step]) -> None:
             continue
         nb = d - e
         nd = b + e
-        if d > 0 and nb > 0:
+        if d > 0 and nb > 0:  # s = b+ + nb, so a + s = c + b
             v[p] = c + b if plus else c - b
-        elif b > 0:
+        elif b > 0:  # s = b; else s = 0 and a stays
             v[p] = a + b if plus else a - b
-        if b < 0 and nd < 0:
+        if b < 0 and nd < 0:  # t = d- + nd, so c + t = a + d
             v[q] = a + d if plus else a - d
-        elif d < 0:
+        elif d < 0:  # t = d; else t = 0 and c stays
             v[q] = c + d if plus else c - d
         v[p1] = nb
         v[q1] = nd

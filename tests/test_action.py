@@ -78,8 +78,9 @@ class TestQuadActions:
             assert act_quad(RHO, act_quad(RHO, quad)) == quad
 
     def test_quad_step_matches_the_word_engine(self):
-        # act_quad and apply_letters each write the rho swap out; a wrong
-        # swap can still be an involution that keeps b + d.
+        # act_quad writes the rho swap out and apply_letters folds it into
+        # its pair map; a wrong swap can still be an involution that keeps
+        # b + d.
         for kind in (SIGMA, SIGMA_INV, RHO):
             for quad in QUADS:
                 assert act_quad(kind, quad) == tuple(apply_letters(quad, [Letter(kind, 1)]))
@@ -158,13 +159,19 @@ def sign_case_quads(count, seed):
     return [tuple(entry() for _ in range(4)) for _ in range(count)]
 
 
-def reference_word(strands, letters):
-    """Act on the base vector one letter at a time with the two references."""
-    v = list(base_vector(strands).entries)
+REFERENCE = {SIGMA: reference_sigma, SIGMA_INV: reference_sigma_inv}
+
+
+def reference_word(entries, letters):
+    """Act on the entries one letter at a time with the two references, and
+    swap the two pairs for a rho letter."""
+    v = list(entries)
     for kind, i in letters:
         j = 2 * i - 2
-        crossing = reference_sigma if kind == SIGMA else reference_sigma_inv
-        v[j : j + 4] = crossing(tuple(v[j : j + 4]))
+        if kind == RHO:
+            v[j : j + 4] = v[j + 2 : j + 4] + v[j : j + 2]
+        else:
+            v[j : j + 4] = REFERENCE[kind](tuple(v[j : j + 4]))
     return tuple(v)
 
 
@@ -191,8 +198,23 @@ class TestPositiveCrossingReference:
         strands = rng.randint(4, 8)
         word = random_reduced_word(strands, rng.randint(2000, 5000), rng, virtual=False)
         image = act_word(base_vector(strands), word).entries
-        assert image == reference_word(strands, word.letters)
+        assert image == reference_word(base_vector(strands).entries, word.letters)
         assert max(map(abs, image)).bit_length() > 100
+
+
+class TestWordEngineReference:
+    """``apply_letters`` compiles its letters, runs the schedule and reads the
+    pairs back through the pair map; the references act letter by letter."""
+
+    def test_every_input_word(self):
+        assert len(WORDS) == 27553
+        rng = random.Random(2201)
+        for word in WORDS:
+            probe = [rng.randint(-9, 9) for _ in range(2 * word.strands)]
+            before = probe[:]
+            image = apply_letters(probe, word.letters)
+            assert tuple(image) == reference_word(probe, word.letters), word
+            assert probe == before  # the deciders act twice on one list
 
 
 class TestCrossingWorkDone:
@@ -266,6 +288,15 @@ class TestCrossingArithmetic:
                 image, _ = run_step(kind, tuple(map(Entry, quad)), 0, 2, 4)
                 assert tuple(x.value for x in image) == act_quad(kind, quad)
 
+    def test_the_word_engine_on_a_virtual_word(self):
+        # r2 r1 r2 leaves the pairs at positions 1 and 3 swapped in the map.
+        letters = parse_word("s1 r2 S1 r1 s2 S2 r2 s1", 3).letters
+        rng = random.Random(2202)
+        for _ in range(300):
+            probe = [rng.randint(-4, 4) for _ in range(6)]
+            image = apply_letters(list(map(Entry, probe)), letters)
+            assert tuple(x.value for x in image) == reference_word(probe, letters)
+
 
 def run_step(kind, quad, p, q, width):
     """Run the one-step schedule of a ``kind`` crossing at offsets p and q on
@@ -279,21 +310,21 @@ def run_step(kind, quad, p, q, width):
 
 
 class TestScheduleRunner:
-    """The battery runs its crossings through ``_run``, which writes the
-    crossing out a second time: on a one-step schedule it must give
-    ``_cross``'s image and leave every other entry alone."""
+    """Every action runs its crossings through ``_run``: on a one-step
+    schedule at any two offsets it must give the max/min reference's image
+    and leave every other entry alone."""
 
     def test_grid_and_seeded_quads(self):
         for kind in (SIGMA, SIGMA_INV):
             for quad in QUADS:
-                assert run_step(kind, quad, 0, 2, 4) == (action._cross(kind, *quad), [])
+                assert run_step(kind, quad, 0, 2, 4) == (REFERENCE[kind](quad), [])
 
     @pytest.mark.parametrize("p, q, width", [(2, 0, 4), (0, 4, 6), (4, 0, 6), (6, 2, 8), (4, 2, 8)])
     def test_other_offsets(self, p, q, width):
         rest = [100 + j for j in range(width) if j not in (p, p + 1, q, q + 1)]
         for kind in (SIGMA, SIGMA_INV):
             for quad in QUADS[::5]:
-                assert run_step(kind, quad, p, q, width) == (action._cross(kind, *quad), rest)
+                assert run_step(kind, quad, p, q, width) == (REFERENCE[kind](quad), rest)
 
     def test_schedule_skips_virtual_letters_and_maps_the_pairs(self):
         at = [0, 2, 4]
@@ -498,9 +529,9 @@ SECOND = parse_word("S2 s1 r2 s2 s1 S2 r2 s1 r2 s2 r1 S2 r1 S1 S2 r2 S1 s2", 3)
 
 def whole_word_probes(letters, width, count, bound, rng):
     """The battery by definition: randint draws, each probe acted on by the
-    whole word."""
+    whole word letter by letter through the references."""
     probes = [[rng.randint(-bound, bound) for _ in range(width)] for _ in range(count)]
-    return [p for p in probes if apply_letters(p, letters) != p]
+    return [p for p in probes if reference_word(p, letters) != tuple(p)]
 
 
 def battery_words():
