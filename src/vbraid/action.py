@@ -26,9 +26,12 @@ One routine, ``_run``, writes that formula, and every action reaches it
 through a compiled schedule.  ``_steps`` keeps a pair map, the offset of
 the entry pair at each position, which a virtual letter updates at compile
 time, and turns each crossing into a step on the two offsets it meets.
+A classical word never moves the map, so from the identity map its steps
+are read from one cached table of letter to step, at C speed.
 ``act_quad`` runs a one-step schedule; ``apply_letters`` compiles its
-letters, runs them and puts the pairs back in position order; the probe
-battery compiles its word once and runs it on every probe.
+letters, runs them and puts back in position order the pairs that the map
+moved; the probe battery compiles its word once and runs it on every
+probe.
 
 All arithmetic is exact.  Entries are unbounded Python integers; iterated
 crossings grow coordinates without bound and no fixed-width type is safe.
@@ -37,6 +40,7 @@ crossings grow coordinates without bound and no fixed-width type is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -129,13 +133,36 @@ def apply_letters(entries: Sequence[int], letters: Iterable[Letter]) -> list[int
 
     No validation is performed; callers guarantee letter indices fit the
     vector.  The letters are compiled (``_steps``) and run (``_run``) on a
-    copy of the entries, and the pairs are read back in the order of the
-    final pair map, so the virtual letters move no entry at run time.
+    copy of the entries, so the virtual letters move no entry at run time.
+    The image is a copy of the run vector with each pair that the final
+    pair map moved read back into its position; a classical word moves
+    none.
     """
     v = list(entries)
     at = list(range(0, len(v), 2))
     _run(v, _steps(letters, at))
-    return [v[k] for p in at for k in (p, p + 1)]
+    image = v[:]
+    j = 0
+    for p in at:
+        if p != j:
+            image[j], image[j + 1] = v[p], v[p + 1]
+        j += 2
+    return image
+
+
+class _IdentitySteps(dict):
+    """The step of each crossing letter under the identity pair map, built
+    the first time the letter is seen: (kind, i) crosses the pairs at
+    offsets 2i - 2 and 2i whatever the width, so one table serves every
+    strand count and holds at most 2 (MAX_STRANDS - 1) steps."""
+
+    def __missing__(self, letter: Letter) -> _Step:
+        kind, i = letter
+        step = self[letter] = (kind == SIGMA, 2 * i - 2, 2 * i - 1, 2 * i, 2 * i + 1)
+        return step
+
+
+_IDENTITY_STEPS = _IdentitySteps()
 
 
 def _steps(letters: Iterable[Letter], at: list[int]) -> list[_Step]:
@@ -145,8 +172,14 @@ def _steps(letters: Iterable[Letter], at: list[int]) -> list[_Step]:
     stands at position k + 1.  A rho letter swaps two entries of ``at`` and
     adds no step; a crossing at i crosses the pairs at offsets
     p = at[i - 1] and q = at[i], and ``plus`` is True for SIGMA.  ``at`` is
-    left as it is after the letters.
+    left as it is after the letters.  Letters with no rho among them leave
+    an identity map as it is, so there each step depends on its letter
+    alone and is read from ``_IDENTITY_STEPS`` at C speed; any other call
+    compiles letter by letter.
     """
+    letters = tuple(letters)  # read twice: scanned for rho, then compiled
+    if RHO not in map(itemgetter(0), letters) and at == list(range(0, 2 * len(at), 2)):
+        return list(map(_IDENTITY_STEPS.__getitem__, letters))
     steps = []
     for kind, i in letters:
         if kind == RHO:

@@ -28,7 +28,6 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from random import Random
 from typing import Iterable
@@ -270,6 +269,7 @@ def moved_fraction(
     if samples < 1:
         raise ValueError("at least one sample is required")
     probes = moved_probes(word.letters, 2 * word.strands, samples, coefficient_bound, rng)
+    from fractions import Fraction  # here, so that `import vbraid` does not load it
     return Fraction(sum(1 for _ in probes), samples)
 
 

@@ -216,6 +216,28 @@ class TestWordEngineReference:
             assert tuple(image) == reference_word(probe, word.letters), word
             assert probe == before  # the deciders act twice on one list
 
+    @pytest.mark.parametrize("text", ["s1 S2 s3 s1 S3 s2", "s1 r2 S3 r1 s2 r3 s1"])
+    def test_an_iterator_of_letters_acts_as_the_word(self, text):
+        # _steps scans the letters for a rho letter before it compiles them
+        letters = parse_word(text, 4).letters
+        probe = [3, -1, 4, 1, -5, 9, 2, -6]
+        assert apply_letters(probe, iter(letters)) == apply_letters(probe, letters)
+        assert tuple(apply_letters(probe, iter(letters))) == reference_word(probe, letters)
+
+    def test_a_wide_map_with_two_far_apart_pairs_swapped(self):
+        # r1 ... r(n-1) carries the first pair to the last position and
+        # r(n-2) ... r1 carries the old last pair back to the first, so the
+        # final map swaps the pairs at positions 1 and n and fixes the rest.
+        n = MAX_STRANDS
+        rng = random.Random(2301)
+        probe = [rng.randint(-9, 9) for _ in range(2 * n)]
+        carry = [Letter(RHO, i) for i in range(1, n)] + [Letter(RHO, i) for i in range(n - 2, 0, -1)]
+        letters = (Letter(SIGMA, 1), Letter(SIGMA_INV, n - 1), *carry, Letter(SIGMA, 1), Letter(SIGMA, n - 2))
+        at = list(range(0, 2 * n, 2))
+        action._steps(letters, at)
+        assert at == [2 * n - 2, *range(2, 2 * n - 2, 2), 0]
+        assert tuple(apply_letters(probe, letters)) == reference_word(probe, letters)
+
 
 class TestCrossingWorkDone:
     """The crossing adds no term that the signs make zero: an entry whose
@@ -297,6 +319,15 @@ class TestCrossingArithmetic:
             image = apply_letters(list(map(Entry, probe)), letters)
             assert tuple(x.value for x in image) == reference_word(probe, letters)
 
+    def test_the_word_engine_on_a_classical_word(self):
+        # No rho letter: the steps come from the identity table.
+        letters = parse_word("s1 S2 s3 s2 S1 S3 s1", 4).letters
+        rng = random.Random(2302)
+        for _ in range(300):
+            probe = [rng.randint(-4, 4) for _ in range(8)]
+            image = apply_letters(list(map(Entry, probe)), letters)
+            assert tuple(x.value for x in image) == reference_word(probe, letters)
+
 
 def run_step(kind, quad, p, q, width):
     """Run the one-step schedule of a ``kind`` crossing at offsets p and q on
@@ -335,6 +366,48 @@ class TestScheduleRunner:
         ]
         assert all(p1 == p + 1 and q1 == q + 1 for _, p, p1, q, q1 in steps)
         assert at == [2, 4, 0]
+
+
+def reference_steps(letters, at):
+    """The compile written out letter by letter: a rho letter swaps two
+    entries of the pair map, and a crossing at i becomes a step on the
+    offsets at[i - 1] and at[i]."""
+    steps = []
+    for kind, i in letters:
+        if kind == RHO:
+            at[i - 1], at[i] = at[i], at[i - 1]
+        else:
+            p, q = at[i - 1], at[i]
+            steps.append((kind == SIGMA, p, p + 1, q, q + 1))
+    return steps
+
+
+class TestIdentityTable:
+    """A classical word on the identity map compiles through one table of
+    letter to step; it must give the letter-by-letter schedule."""
+
+    def test_every_classical_input_word_on_a_fresh_and_a_moved_map(self):
+        classical = [word for word in WORDS if word.is_classical()]
+        assert len(classical) > 1000
+        for word in classical:
+            fresh = list(range(0, 2 * word.strands, 2))
+            moved = fresh[:]
+            assert action._steps((Letter(RHO, 1),), moved) == []
+            assert moved != fresh
+            for at in (fresh, moved):
+                expected_at = at[:]
+                assert action._steps(word.letters, at) == reference_steps(word.letters, expected_at)
+                assert at == expected_at, word
+
+    def test_the_table_holds_one_step_per_crossing_letter(self):
+        # a classical word over every index of the widest vector
+        n = MAX_STRANDS
+        letters = [Letter(kind, i) for i in range(1, n) for kind in (SIGMA, SIGMA_INV)]
+        image = apply_letters(base_vector(n).entries, letters)
+        assert tuple(image) == reference_word(base_vector(n).entries, letters)
+        table = action._IDENTITY_STEPS
+        assert set(letters) <= set(table)
+        assert len(table) <= 2 * (MAX_STRANDS - 1)
 
 
 class TestVectorAction:

@@ -84,6 +84,13 @@ def test_import_does_not_load_multiprocessing():
     assert fresh_interpreter(script) == "False\n"
 
 
+def test_import_does_not_load_fractions_or_decimal():
+    # Only moved_fraction builds a Fraction, and it imports fractions itself;
+    # fractions would load decimal with it.
+    script = "import sys\nimport vbraid\nprint([n in sys.modules for n in ('fractions', 'decimal')])\n"
+    assert fresh_interpreter(script) == "[False, False]\n"
+
+
 def _module_names(node):
     """The names a module-level statement defines: a function, a class or
     the plain targets of an assignment."""
