@@ -6,11 +6,10 @@ kernel candidate; the hunt writes its report first).
 Every randomized subcommand requires an explicit --seed; ``eq`` is one call
 to ``wordproblem.distinguish_vbn``, randomized only on virtual words of
 n >= 3 with --battery > 0.
-Output files (--out, --fixers-out, --json) are opened before the work
-starts, so an unwritable path fails at once with exit 1; an existing file
-keeps its bytes until the finished work replaces them, and a file the run
-created is removed again if the run fails; one regular file for both of
-hunt's outputs fails with exit 1 before the hunt.  Only a regular file is
+Output files (hunt's --out, verify-diagram's --json) are opened before the
+work starts, so an unwritable path fails at once with exit 1; an existing
+file keeps its bytes until the finished work replaces them, and a file the
+run created is removed again if the run fails.  Only a regular file is
 truncated, so a pipe or a device such as /dev/null takes the output as is.
 """
 
@@ -54,9 +53,10 @@ def _parse_length(text: str) -> int | tuple[int, int]:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """An output file opened for appending, so that work rejected before
-    ``_write`` leaves an existing file intact, and removed if this call
-    created it and the work raises; None when no path is given."""
+    """The file a command's report goes to, opened for appending before the
+    work, so that work rejected before ``_write`` leaves an existing file
+    intact, and removed if this call created it and the work raises; None
+    when no path is given."""
     if not path:
         yield None
         return
@@ -73,17 +73,13 @@ def _output(path: str | None):
         raise
 
 
-def _regular(handle) -> bool:
-    """Whether ``handle`` is a regular file, the one kind ``_write`` truncates:
-    a pipe, a terminal or a device such as /dev/null is only written."""
-    return stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-
-
-def _write(handle, text: str) -> None:
-    """Replace the contents of a file opened by ``_output`` with ``text``."""
-    if _regular(handle):
+def _write(handle, report) -> None:
+    """Replace the contents of a file opened by ``_output`` with ``report``
+    as indented JSON.  Only a regular file is truncated: a pipe, a terminal
+    or a device such as /dev/null is only written."""
+    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
         handle.truncate(0)
-    handle.write(text)
+    handle.write(json.dumps(report.as_dict(), indent=2) + "\n")
 
 
 def _cmd_act(args) -> int:
@@ -130,15 +126,9 @@ def _cmd_hunt(args) -> int:
         coefficient_bound=args.bound,
         base=None if args.base is None else Coordinates.from_csv(args.base, args.n).entries,
     )
-    with _output(args.out) as out, _output(args.fixers_out) as fixers:
-        # Each write truncates a regular file, so one such file cannot hold both.
-        if fixers is not None and _regular(out):
-            if os.path.samestat(os.fstat(out.fileno()), os.fstat(fixers.fileno())):
-                raise ValueError(f"--out and --fixers-out name the same file: {args.fixers_out}")
+    with _output(args.out) as out:
         report = hunt(config, workers=args.workers)
-        _write(out, json.dumps(report.as_dict(), indent=2) + "\n")
-        if fixers is not None:
-            _write(fixers, "".join(json.dumps(f.as_dict()) + "\n" for f in report.base_fixers))
+        _write(out, report)
     print(
         f"tested {report.words_tested} words: {len(report.base_fixers)} distinct "
         f"base fixers, {len(report.kernel_candidates)} kernel candidates "
@@ -158,7 +148,7 @@ def _cmd_verify_diagram(args) -> int:
     with _output(args.json) as handle:
         report = verify_diagram(args.samples, Random(args.seed))
         if handle is not None:
-            _write(handle, json.dumps(report.as_dict(), indent=2) + "\n")
+            _write(handle, report)
     for check in report.arrow_checks:
         status = "ok" if check.ok else f"FAIL counterexample={check.counterexample}"
         print(f"arrow {check.arrow.describe()}: {check.samples} samples {status}")
@@ -232,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_.add_argument("--base", help="override the start vector (CSV)")
     hunt_.add_argument("--workers", type=int, default=1, help="processes, at most the CPU count")
     hunt_.add_argument("--out", required=True, help="JSON report path")
-    hunt_.add_argument("--fixers-out", help="JSON-lines path for base fixers")
     hunt_.set_defaults(func=_cmd_hunt)
 
     moved = commands.add_parser("moved-fraction", help="fraction of probes a word moves")

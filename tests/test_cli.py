@@ -27,6 +27,7 @@ from vbraid.words import (
 from test_diagram import forge, shifted_d
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 BURAU_KERNEL_WORD = "s1^2 r1 S1 r1 S1 r1 s1^2 r1 S1 r1 S1 r1"
 
 
@@ -34,6 +35,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = vbraid.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def readme_vbraid_lines() -> list[str]:
+    """The README's `vbraid` command lines, continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("vbraid ")]
 
 
 class TestAct:
@@ -398,12 +412,11 @@ class TestHunt:
     def test_writes_deterministic_report(self, capsys, tmp_path):
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"
-        fixers = tmp_path / "fixers.jsonl"
         argv = [
             "hunt", "--n", "3", "--count", "800", "--length", "1:12",
             "--seed", "5", "--battery", "40",
         ]
-        code, out, _ = run(capsys, *argv, "--out", str(first), "--fixers-out", str(fixers))
+        code, out, _ = run(capsys, *argv, "--out", str(first))
         assert code == 0
         assert "tested 800 words" in out
         code, _, _ = run(capsys, *argv, "--out", str(second), "--workers", "2")
@@ -413,8 +426,8 @@ class TestHunt:
         one.pop("runtime_seconds")
         two.pop("runtime_seconds")
         assert one == two
-        for line in fixers.read_text().splitlines():
-            entry = json.loads(line)
+        assert one["base_fixers"]
+        for entry in one["base_fixers"]:
             assert set(entry) == {"word", "moved_fraction", "samples"}
 
     def test_fixed_length_flag(self, capsys, tmp_path):
@@ -469,101 +482,76 @@ class TestHunt:
         assert "1 kernel candidates" in out
         assert json.loads(out_path.read_text())["kernel_candidates"] == ["s1 S1"]
 
-
-    @pytest.mark.parametrize("flag", ["--out", "--fixers-out"])
-    def test_unwritable_output_fails_before_the_hunt(
-        self, flag, capsys, tmp_path, monkeypatch
-    ):
+    def test_unwritable_output_fails_before_the_hunt(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(vbraid.cli, "hunt", must_not_run)
-        paths = {"--out": tmp_path / "r.json", "--fixers-out": tmp_path / "f.jsonl"}
-        paths[flag] = tmp_path / "missing" / "r.json"
+        path = tmp_path / "missing" / "r.json"
         code, out, err = run(
             capsys,
             "hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
-            "--out", str(paths["--out"]), "--fixers-out", str(paths["--fixers-out"]),
+            "--out", str(path),
         )
         assert code == 1
         assert out == ""
         assert err.startswith("vbraid hunt: error: ")
         assert "No such file or directory" in err
-        assert str(paths[flag]) in err
+        assert str(path) in err
+
+    def test_fixers_out_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
+        # The report's base_fixers holds every base fixer.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(vbraid.cli, "hunt", must_not_run)
+        with pytest.raises(SystemExit) as info:
+            main([
+                "hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
+                "--out", "r.json", "--fixers-out", "f.jsonl",
+            ])
+        assert info.value.code == 1
+        assert "--fixers-out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputFiles:
     OLD = '{"kept": true}\n'
 
     @pytest.mark.parametrize(
-        "argv, flags",
+        "argv, flag",
         [
             (
                 ["hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
                  "--workers", "0"],
-                ["--out", "--fixers-out"],
+                "--out",
             ),
-            (["verify-diagram", "--samples", "0", "--seed", "6"], ["--json"]),
+            (["verify-diagram", "--samples", "0", "--seed", "6"], "--json"),
         ],
         ids=["hunt-workers-0", "verify-diagram-samples-0"],
     )
-    def test_an_existing_file_keeps_its_bytes(self, argv, flags, capsys, tmp_path):
-        paths = []
-        for flag in flags:
-            paths.append(tmp_path / flag.strip("-"))
-            paths[-1].write_text(self.OLD)
-            argv = [*argv, flag, str(paths[-1])]
-        code, out, err = run(capsys, *argv)
+    def test_an_existing_file_keeps_its_bytes(self, argv, flag, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(self.OLD)
+        code, out, err = run(capsys, *argv, flag, str(path))
         assert code == 1
         assert out == ""
         assert err.startswith(f"vbraid {argv[0]}: error: ")
-        assert [path.read_text() for path in paths] == [self.OLD] * len(paths)
+        assert path.read_text() == self.OLD
 
     @pytest.mark.parametrize(
-        "argv, paths",
+        "argv, flag",
         [
             (
                 ["hunt", "--n", "3", "--count", "4", "--length", "3", "--seed", "1",
                  "--workers", "0"],
-                {"--out": "new.json", "--fixers-out": "fixers.jsonl"},
+                "--out",
             ),
-            (["verify-diagram", "--samples", "0", "--seed", "1"], {"--json": "new.json"}),
-            (
-                ["hunt", "--n", "3", "--count", "4", "--length", "3", "--seed", "1"],
-                {"--out": "new.json", "--fixers-out": "missing/fixers.jsonl"},
-            ),
+            (["verify-diagram", "--samples", "0", "--seed", "1"], "--json"),
         ],
-        ids=["hunt-workers-0", "verify-diagram-samples-0", "hunt-fixers-out-unopenable"],
+        ids=["hunt-workers-0", "verify-diagram-samples-0"],
     )
-    def test_a_new_file_is_removed_again(self, argv, paths, capsys, tmp_path):
-        for flag, name in paths.items():
-            argv = [*argv, flag, str(tmp_path / name)]
-        code, out, err = run(capsys, *argv)
+    def test_a_new_file_is_removed_again(self, argv, flag, capsys, tmp_path):
+        code, out, err = run(capsys, *argv, flag, str(tmp_path / "new.json"))
         assert code == 1
         assert out == ""
         assert err.startswith(f"vbraid {argv[0]}: error: ")
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-    @pytest.mark.parametrize("fixers", ["f.json", "./f.json", "link.json"])
-    def test_hunt_refuses_one_file_for_both_outputs(
-        self, fixers, existing, capsys, tmp_path, monkeypatch
-    ):
-        # Each write truncates the file, so one file would lose one output.
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(vbraid.cli, "hunt", must_not_run)
-        Path("link.json").symlink_to("f.json")
-        if existing:
-            Path("f.json").write_text(self.OLD)
-        code, out, err = run(
-            capsys,
-            "hunt", "--n", "3", "--count", "10", "--length", "4", "--seed", "1",
-            "--out", "f.json", "--fixers-out", fixers,
-        )
-        assert code == 1
-        assert out == ""
-        assert err == f"vbraid hunt: error: --out and --fixers-out name the same file: {fixers}\n"
-        if existing:
-            assert Path("f.json").read_text() == self.OLD
-        else:
-            assert not Path("f.json").exists()
 
     def test_a_finished_run_replaces_a_longer_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -580,10 +568,8 @@ class TestOutputFiles:
             ["hunt", "--n", "3", "--count", "20", "--length", "1:12", "--seed", "1",
              "--out", "/dev/null"],
             ["verify-diagram", "--samples", "10", "--seed", "1", "--json", "/dev/null"],
-            ["hunt", "--n", "3", "--count", "20", "--length", "1:12", "--seed", "1",
-             "--out", "/dev/null", "--fixers-out", "/dev/null"],
         ],
-        ids=["hunt-out", "verify-diagram-json", "hunt-both-outputs"],
+        ids=["hunt-out", "verify-diagram-json"],
     )
     def test_dev_null_takes_the_output(self, argv, capsys):
         # A character device is seekable but cannot be truncated.
@@ -643,9 +629,7 @@ class TestFlagValidation:
 
 class TestHelp:
     def test_every_option_has_help(self):
-        parser = vbraid.cli.build_parser()
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        for name, command in commands.choices.items():
+        for name, command in subcommands().items():
             for action in command._actions:
                 if action.option_strings and action.dest != "help":
                     assert action.help, (name, action.option_strings)
@@ -654,12 +638,8 @@ class TestHelp:
 class TestReadme:
     def test_every_command_line_parses(self, capsys):
         # Flags only: each `vbraid` line of the README's sh blocks is parsed,
-        # never run, so a renamed or removed flag fails here.
-        text = (SRC.parent / "README.md").read_text()
-        blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
-        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
-        commands = [shlex.split(line, comments=True) for line in lines]
-        commands = [tokens[1:] for tokens in commands if tokens[:1] == ["vbraid"]]
+        # so a renamed or removed flag fails here.
+        commands = [shlex.split(line, comments=True)[1:] for line in readme_vbraid_lines()]
         assert len(commands) >= 13
         parser = vbraid.cli.build_parser()
         for argv in commands:
@@ -667,3 +647,26 @@ class TestReadme:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"vbraid {shlex.join(argv)}: {capsys.readouterr().err}")
+
+    def test_every_stated_output_is_printed(self, capsys):
+        # A `# -> OUTPUT` comment states the first line the command prints;
+        # "(empty)" stands for an empty line.
+        matches = [re.fullmatch(r"vbraid (.*?)\s*# -> (.*)", line) for line in readme_vbraid_lines()]
+        stated = [match.groups() for match in matches if match]
+        assert len(stated) == 9
+        for command, output in stated:
+            code, out, err = run(capsys, *shlex.split(command))
+            assert code == 0, (command, err)
+            assert out.split("\n")[0] == ("" if output == "(empty)" else output), command
+
+    def test_every_option_is_documented(self):
+        text = README.read_text()
+        missing = [
+            (name, option)
+            for name, command in subcommands().items()
+            for action in command._actions
+            if action.dest != "help"
+            for option in action.option_strings
+            if not re.search(re.escape(option) + r"(?![\w-])", text)
+        ]
+        assert missing == []
