@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(VALIDATION_ERROR, f"{self.prog}: error: {message}\n")
 
+    # A subcommand rejects the options it does not know itself, with its own
+    # usage, instead of passing them up to the top-level parser.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _parse_length(text: str) -> int | tuple[int, int]:
     if ":" in text:

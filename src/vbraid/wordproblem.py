@@ -18,11 +18,18 @@ the reversed rests.  Every letter acts as a bijection of Z^{2n}, so
 p.x.m1.z = p.x.m2.z exactly when p.x.m1 = p.x.m2: x is applied once and z
 only to build the witness images of a Distinct verdict.  On a faithful probe
 (the base vector in B_n, ``VB2_START`` on two strands) only the identity
-fixes p, and so only the identity fixes p.x: the words are equal exactly
-when p.m1 = p.m2.  The two complete deciders alone set its ``faithful``
-flag, and it then first acts on the two middles from the probe itself when
-x is nonempty and |m1| + |m2| <= |x| + 2|z|: a Distinct pair, which then
-acts on its middles twice, does at most half again the work of one pass.
+fixes p, so two blocks s and r, wherever they stand in the words, are equal
+exactly when p.s = p.r.  The two complete
+deciders alone set its ``faithful`` flag, and it then first cuts the middles
+with ``words._blocks`` as m1 = s_1 c_1 s_2 ... s_k and m2 = r_1 c_1 r_2 ... r_k
+at their common runs c_i, found within a few letters of each block, and acts
+on each block pair from the probe itself: if every pair agrees, the words are
+equal.  Middles of at most 128 letters together are one block, so a short
+pair crosses its middles as before, and that one block is tested only when x
+is nonempty, since with x empty it is the pass itself.  The blocks are tested
+only when 2 (|s_1| + |r_1| + ... + |s_k| + |r_k|) <= |x| + |m1| + |m2| + 2|z|,
+the letters of one pass, so a Distinct pair, which then makes the one pass
+as well, does at most half again its work.
 
 Free reduction never changes the action (a cancelled pair is the identity),
 so the battery runs on the freely reduced quotient w1 w2^-1 and moves the
@@ -43,7 +50,7 @@ from random import Random
 from .action import Coordinates, apply_letters, base_vector, moved_probes
 from .diagram import VB2_START
 from .words import (
-    BraidWord, _common_prefix, _inverted, _reduced, format_word, free_reduce, permutation
+    BraidWord, _blocks, _common_prefix, _inverted, _reduced, format_word, free_reduce, permutation
 )
 
 # The probe distribution for randomized batteries: entries uniform on
@@ -77,15 +84,22 @@ def _distinct_on(
 ) -> Verdict | None:
     """None when both words move ``probe`` alike, else Distinct with the images
     of the whole words, by the split and passes of the module docstring.  Set
-    ``faithful`` only for a probe that the identity alone fixes."""
+    ``faithful`` only for a probe that the identity alone fixes: then block
+    pairs that all agree on the probe decide the words equal, and otherwise
+    the one pass decides."""
     a, b = w1.letters, w2.letters
     x = _common_prefix(a, b)
     z = _common_prefix(a[x:][::-1], b[x:][::-1])
     m1, m2 = a[x : len(a) - z], b[x : len(b) - z]
     start = probe.entries
-    if faithful and x and len(m1) + len(m2) <= x + 2 * z:
-        if apply_letters(start, m1) == apply_letters(start, m2):
-            return None
+    if faithful:
+        blocks = _blocks(m1, m2, (x + len(m1) + len(m2) + 2 * z) // 2)
+        if blocks and (x or len(blocks) > 1):
+            for s, r in blocks:
+                if apply_letters(start, s) != apply_letters(start, r):
+                    break
+            else:
+                return None
     shared = apply_letters(start, a[:x])
     left, right = apply_letters(shared, m1), apply_letters(shared, m2)
     if left == right:

@@ -199,6 +199,54 @@ def _common_prefix(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> int:
     return low
 
 
+_SPLIT = 128
+_SPAN = 16
+_GUARD = 8
+
+
+def _blocks(
+    a: tuple[Letter, ...], b: tuple[Letter, ...], budget: int
+) -> list[tuple[tuple[Letter, ...], tuple[Letter, ...]]] | None:
+    """Differing blocks (s_1, r_1), ..., (s_k, r_k) with a = s_1 c_1 s_2 ... s_k
+    and b = r_1 c_1 r_2 ... r_k, each c_i a longest common run, so the blocks
+    being equal in pairs makes a and b equal; None once the blocks hold more
+    than ``budget`` letters.  The words differ in their first letters, as two
+    middles do.
+
+    Words of at most _SPLIT letters together are one block.  Otherwise each
+    block is the shortest within _SPAN letters a side after which _GUARD
+    letters agree, and the rest one block where there is none.  The guard
+    decides only how the words are cut, never whether the cuts are exact."""
+    if len(a) + len(b) <= _SPLIT:
+        return [(a, b)] if len(a) + len(b) <= budget else None
+    blocks = []
+    i = j = 0
+    while i < len(a) or j < len(b):
+        # The nearest ends first, by their sum.  A guard cut short by the end
+        # of a word agrees only with one as short, so every cut is inside both.
+        cut = next(
+            (
+                (di, d - di)
+                for d in range(1, 2 * _SPAN + 1)
+                for di in range(max(0, d - _SPAN), min(d, _SPAN) + 1)
+                if a[i + di : i + di + _GUARD] == b[j + d - di : j + d - di + _GUARD]
+            ),
+            (len(a) - i, len(b) - j),
+        )
+        budget -= sum(cut)
+        if budget < 0:
+            return None
+        blocks.append((a[i : i + cut[0]], b[j : j + cut[1]]))
+        i, j = i + cut[0], j + cut[1]
+        # The common run, in slices of doubling length: time linear in the run.
+        run = step = _GUARD // 2
+        while run == step:
+            step *= 2
+            run = _common_prefix(a[i : i + step], b[j : j + step])
+            i, j = i + run, j + run
+    return blocks
+
+
 def free_reduce(word: BraidWord) -> BraidWord:
     """Delete adjacent sigma/sigma-inverse and rho/rho pairs until none remain.
 

@@ -246,7 +246,7 @@ class TestEq:
         with pytest.raises(SystemExit) as info:
             main(["eq", "--group", "bn", "--n", "3", "--w1", "s1", "--w2", "s1"])
         assert info.value.code == 1
-        assert "--group" in capsys.readouterr().err
+        assert "vbraid eq: error: unrecognized arguments: --group bn" in capsys.readouterr().err
 
 
 class TestSmallCommands:
@@ -506,7 +506,8 @@ class TestHunt:
                 "--out", "r.json", "--fixers-out", "f.jsonl",
             ])
         assert info.value.code == 1
-        assert "--fixers-out" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "vbraid hunt: error: unrecognized arguments: --fixers-out f.jsonl" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -625,6 +626,22 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_unknown_option_is_reported_by_its_subcommand(self, name, capsys, monkeypatch):
+        # Every required option is given, so the unknown one is the only error.
+        command = subcommands()[name]
+        argv = [name]
+        for action in command._actions:
+            if action.required:
+                argv += [action.option_strings[0], "2"]
+        monkeypatch.setattr(vbraid.cli, "hunt", must_not_run)
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--no-such-flag"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: vbraid {name} ")
+        assert err.endswith(f"vbraid {name}: error: unrecognized arguments: --no-such-flag\n")
 
 
 class TestHelp:

@@ -18,6 +18,7 @@ from vbraid.wordproblem import (
 )
 from vbraid.words import (
     RHO,
+    SIGMA,
     BraidWord,
     Letter,
     format_word,
@@ -427,10 +428,25 @@ def with_relators(word, relator_words, count, rng):
     return word
 
 
+def separated(word, count, rng):
+    """``count`` positions of positive crossings in ``word``, at least 64
+    letters apart, the first and last at least 200 apart."""
+    while True:
+        positions = sorted(rng.sample(range(len(word)), count))
+        gaps = [b - a for a, b in zip(positions, positions[1:])]
+        if min(gaps) >= 64 and positions[-1] - positions[0] >= 200:
+            if all(word.letters[p].kind == SIGMA for p in positions):
+                return positions
+
+
 def long_cases():
-    """A fixed batch of long (label, group, w1, w2); the Distinct ones share a
-    nonempty prefix and differ in a short middle, so the deciders act on the
-    middles from the probe itself before the one pass that builds the witness."""
+    """A fixed batch of long (label, group, w1, w2).  The "replaced" and
+    "swapped" pairs share a nonempty prefix and differ in a short middle, so
+    the deciders act on the middles from the probe itself before the one pass
+    that builds the witness; the "changed" pairs differ at 2-3 separated
+    letters, so the middles are cut into blocks, and the first block differs;
+    in the "commuting" pairs every block differs on its own although the words
+    are equal, so the blocks are tested and the one pass decides."""
     rng = random.Random(4014)
     cases = []
     for n in (4, 5, 6):
@@ -457,6 +473,20 @@ def long_cases():
         word = random_reduced_word(2, rng.randint(300, 600), rng)
         other = with_relators(word, cancelling, rng.randint(1, 3), rng)
         cases.append(("cancelling", "vb2", word, other))
+    for n in (4, 5, 6):
+        for count in (2, 3):
+            # Each sigma inverted or deleted lowers the exponent sum: Distinct.
+            word = random_reduced_word(n, rng.randint(300, 600), rng, virtual=False)
+            letters = list(word.letters)
+            for position in reversed(separated(word, count, rng)):
+                letters[position : position + 1] = rng.choice([[], [letters[position].inverse()]])
+            other = BraidWord(n, tuple(letters))
+            cases.append(("changed", "bn", *((word, other) if count == 2 else (other, word))))
+        # g = sigma_{n-1} commutes with a word A on indices 1 .. n-3.
+        x, z = (random_reduced_word(n, rng.randint(1, 150), rng, virtual=False) for _ in "xz")
+        a = random_reduced_word(n - 2, rng.randint(150, 300), rng, virtual=False)
+        a, g = BraidWord(n, a.letters), BraidWord(n, (Letter(SIGMA, n - 1),))
+        cases.append(("commuting", "bn", x * a * z, x * g * a * inverse(g) * z))
     return cases
 
 
@@ -466,7 +496,7 @@ class TestLongPairs:
             got = library_decision(group, w1, w2, CASE_BATTERY, None)
             want = whole_word_decision(group, w1, w2, CASE_BATTERY, None)
             assert got == want, (label, group, format_word(w1), format_word(w2))
-            equal = label in ("relators", "cancelling")
+            equal = label in ("relators", "cancelling", "commuting")
             assert got.status is (Equality.EQUAL if equal else Equality.DISTINCT)
 
 
@@ -550,6 +580,69 @@ class TestWorkDone:
             assert distinguish_vbn(word, other).status is Equality.EQUAL
             monkeypatch.undo()
             assert sum(counter.calls) <= len(pair)
+
+    @pytest.mark.parametrize("group", ["bn", "vb2"])
+    @pytest.mark.parametrize(
+        "cuts", [(0, 500, 1000), (200, 400, 600), (250, 500, 750), (400, 600, 800)]
+    )
+    def test_separated_insertions_act_on_the_inserted_letters_alone(
+        self, group, cuts, monkeypatch
+    ):
+        # Insertions 200 letters apart are blocks between long common runs,
+        # and each block equals the identity on the probe itself.
+        rng = random.Random(f"{group}:{cuts}")
+        strands, texts = (4, classical_relators(4)) if group == "bn" else (2, ["s1 S1", "r1 r1"])
+        word = random_reduced_word(strands, 1000, rng, virtual=group != "bn")
+        for _ in range(10):
+            letters, inserted = word.letters, 0
+            for cut in reversed(cuts):
+                relator = parse_word(rng.choice(texts), strands).letters
+                letters = letters[:cut] + relator + letters[cut:]
+                inserted += len(relator)
+            other = BraidWord(strands, letters)
+            for pair in ((word, other), (other, word)):
+                counter = LetterCounter(wordproblem.apply_letters)
+                monkeypatch.setattr(wordproblem, "apply_letters", counter)
+                assert library_decision(group, *pair, 0, None).status is Equality.EQUAL
+                monkeypatch.undo()
+                assert sum(counter.calls) <= inserted
+
+    @pytest.mark.parametrize(
+        "cuts, inverted, tested",
+        [
+            ((), (100, 700), True),
+            ((), (0, 400, 999), True),
+            ((200, 500), (800,), True),
+            (range(30, 990, 30), (995,), True),
+            (range(100, 900, 3), (950,), False),
+        ],
+    )
+    def test_separated_changes_do_at_most_half_again_the_one_pass(
+        self, cuts, inverted, tested, monkeypatch
+    ):
+        # Relators at the cuts and inverted sigmas: the probe crosses the
+        # blocks up to the first that differs on it, then makes the one pass.
+        # Relators 3 letters apart leave no run the guard accepts, so the
+        # rest is one block, past the budget, and there is only the one pass.
+        rng = random.Random(f"{cuts}:{inverted}")
+        word = random_reduced_word(4, 1000, rng, virtual=False)
+        letters = word.letters
+        for position in inverted:
+            letters = invert_letter(BraidWord(4, letters), position).letters
+        for cut in reversed(cuts):
+            relator = parse_word(rng.choice(classical_relators(4)), 4).letters
+            letters = letters[:cut] + relator + letters[cut:]
+        w1, w2 = word, BraidWord(4, letters)
+        counter = LetterCounter(wordproblem.apply_letters)
+        monkeypatch.setattr(wordproblem, "apply_letters", counter)
+        assert are_equal_bn(w1, w2).status is Equality.DISTINCT
+        monkeypatch.undo()
+        shared = words._common_prefix(w1.letters, w2.letters)
+        tail = words._common_prefix(w1.letters[shared:][::-1], w2.letters[shared:][::-1])
+        middles = len(w1) + len(w2) - 2 * (shared + tail)
+        one_pass = shared + middles + 2 * tail
+        assert (sum(counter.calls) > one_pass) is tested
+        assert 2 * sum(counter.calls) <= 3 * one_pass
 
     @pytest.mark.parametrize("position", [0, 1, 57, 100, 199])
     def test_an_inverted_letter_costs_its_middles_twice(self, position, monkeypatch):
