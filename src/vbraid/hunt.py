@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .action import Coordinates, apply_letters, base_vector, moved_probes
 from .words import (
@@ -46,6 +46,9 @@ from .words import (
     check_strands,
     format_word,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # moved_fraction imports it when it runs
 
 # Node budget of ``provably_trivial``: the distinct words it visits.
 PROVER_NODES = 50000

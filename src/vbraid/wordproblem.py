@@ -127,6 +127,11 @@ def are_equal_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
                 f"word {format_word(word)!r} contains a virtual letter; "
                 "B_n equality is defined for crossing letters only"
             )
+    return _decide_bn(w1, w2)
+
+
+def _decide_bn(w1: BraidWord, w2: BraidWord) -> Verdict:
+    """``are_equal_bn`` behind its checks: the base vector decides the pair."""
     probe = base_vector(w1.strands)
     why = f"equal image of the base vector {probe.to_csv()}, which separates distinct braids"
     return _distinct_on(probe, w1, w2, faithful=True) or Verdict(Equality.EQUAL, witness=why)
@@ -137,8 +142,9 @@ def distinguish_vbn(
 ) -> Verdict:
     """Sound equality test for virtual braid words on any strand count.
 
-    Words on two strands, and two classical words, go to the complete
-    deciders as given: never Unknown, and no probe is drawn.  Otherwise it
+    Words on two strands go to the complete two-strand decider, and two
+    classical words, after the one check of each, to the braid decider's
+    core, as given: never Unknown, and no probe is drawn.  Otherwise it
     returns Distinct when the strand permutations differ, when the base
     vector is moved differently, or when any of ``battery`` random probe
     vectors is; Equal only for letter-identical reduced words; else Unknown,
@@ -155,7 +161,7 @@ def distinguish_vbn(
         why = f"equal image of {probe.to_csv()}, on which the two-strand action is faithful"
         return _distinct_on(probe, w1, w2, faithful=True) or Verdict(Equality.EQUAL, witness=why)
     if w1.is_classical() and w2.is_classical():
-        return are_equal_bn(w1, w2)
+        return _decide_bn(w1, w2)
     if battery > 0 and rng is None:
         raise ValueError(
             "the probe battery (battery > 0) needs a seeded Random: --seed on the command line"

@@ -69,8 +69,6 @@ class ParseError(ValueError):
     def __init__(self, position: int, token: str, problem: str):
         super().__init__(f"token {position} ({token!r}): {problem}")
         self.position = position
-        self.token = token
-        self.problem = problem
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -20,7 +19,7 @@ from vbraid.diagram import (
     verify_closure,
     verify_diagram,
 )
-from vbraid.words import RHO, SIGMA, SIGMA_INV, BraidWord, parse_word, random_reduced_word
+from vbraid.words import RHO, SIGMA, SIGMA_INV, parse_word, random_reduced_word
 
 # sha256 pins of deterministic diagram outputs, fixed before the law checks
 # were folded into one routine.

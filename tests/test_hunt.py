@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from vbraid.action import apply_letters, base_vector
+from vbraid.action import apply_letters
 from vbraid.cli import main
 from vbraid.hunt import (
     PROVER_NODES,

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import subprocess
 import sys
 import types
@@ -168,3 +169,110 @@ def test_every_private_module_name_is_used_outside_its_definition():
         if all(where == path and node.lineno <= line <= node.end_lineno for where, line in uses.get(name, []))
     ]
     assert dead == []
+
+
+def _stored_attributes(tree):
+    """(class, attribute) for every attribute a class of the tree stores:
+    ``self.X = ...``, ``object.__setattr__(self, "X", ...)``, or a field of a
+    dataclass or a NamedTuple."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        fielded = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+        fielded |= any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+        for member in node.body:
+            if fielded and isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                yield node.name, member.target.id
+        for inner in ast.walk(node):
+            targets = inner.targets if isinstance(inner, ast.Assign) else []
+            for target in targets:
+                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                    if target.value.id == "self":
+                        yield node.name, target.attr
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
+                setter = inner.func.attr == "__setattr__" and len(inner.args) >= 2
+                if setter and isinstance(inner.args[1], ast.Constant):
+                    yield node.name, inner.args[1].value
+
+
+def _read_attributes(tree):
+    """The attribute names the tree reads as ``.X``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_stored_attribute_is_read():
+    # An attribute a package class stores must be read as `.X` by the
+    # package, the benchmark or a test; otherwise it is dead state.
+    sources = sorted((SRC / "vbraid").glob("*.py"))
+    readers = [*sources, *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    read = set().union(*(_read_attributes(ast.parse(path.read_text(), str(path))) for path in readers))
+    unread = [
+        f"{path.stem}.{owner}.{name}"
+        for path in sources
+        for owner, name in _stored_attributes(ast.parse(path.read_text(), str(path)))
+        if name not in read
+    ]
+    assert unread == []
+    control = ast.parse("class C:\n    def __init__(self):\n        self.kept = self.gone = 0\n")
+    stored = {name for _, name in _stored_attributes(control)}
+    assert stored - _read_attributes(ast.parse("C().kept")) == {"gone"}
+
+
+def _module_bindings(statements):
+    """The names bound by module-level statements, looking inside ``if``
+    blocks (an ``if TYPE_CHECKING:`` import counts) but not into function or
+    class bodies."""
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.If):
+            yield from _module_bindings(node.body + node.orelse)
+        else:
+            yield from _module_names(node)
+
+
+def _annotation_names(tree):
+    """(line, name) for every name that an annotation in the tree uses,
+    including the names inside string annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            arguments = node.args
+            every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+            every += [arguments.vararg, arguments.kwarg]
+            annotations += [argument.annotation for argument in every if argument is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.walk(ast.parse(node.value, mode="eval"))
+                yield from ((node.lineno, n.id) for n in inner if isinstance(n, ast.Name))
+            elif isinstance(node, ast.Name):
+                yield node.lineno, node.id
+
+
+def _unbound_annotation_names(tree):
+    bound = set(_module_bindings(tree.body)) | set(dir(builtins))
+    return [(line, name) for line, name in _annotation_names(tree) if name not in bound]
+
+
+def test_every_annotation_name_is_bound_at_module_level():
+    # An annotation may only name what the module binds, by an import (one
+    # under `if TYPE_CHECKING:` included), a def, a class or an assignment,
+    # or a builtin, for a type checker resolves it there.
+    unbound = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted((SRC / "vbraid").glob("*.py"))
+        for line, name in _unbound_annotation_names(ast.parse(path.read_text(), str(path)))
+    ]
+    assert unbound == []
+    control = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from x import Kept\n"
+    control += "def f(a: Kept, b: 'Gone') -> int:\n    from y import Gone\n"
+    assert _unbound_annotation_names(ast.parse(control)) == [(4, "Gone")]

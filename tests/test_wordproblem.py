@@ -151,6 +151,18 @@ class TestVbn:
             assert verdict == are_equal_bn(w1, w2)
             assert verdict.status is Equality.EQUAL
             assert verdict.witness.endswith("which separates distinct braids")
+        # Long words: a copy with braid relators inserted, and one with a letter inverted.
+        rng = random.Random(2727)
+        for n in (4, 5, 6):
+            word = random_reduced_word(n, rng.randint(300, 600), rng, virtual=False)
+            letters = list(word.letters)
+            position = rng.randrange(len(letters))
+            letters[position] = letters[position].inverse()
+            equal = with_relators(word, classical_relators(n), rng.randint(1, 3), rng)
+            for other, status in ((equal, Equality.EQUAL), (BraidWord(n, tuple(letters)), Equality.DISTINCT)):
+                verdict = distinguish_vbn(word, other, 1000, None)
+                assert verdict == are_equal_bn(word, other)
+                assert verdict.status is status
 
     def test_a_missing_rng_is_rejected_before_any_work(self):
         # Even a pair the permutation or free reduction would decide.
@@ -534,6 +546,23 @@ def crossings(letters):
 
 
 class TestWorkDone:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_each_classical_word_is_checked_once(self, n, monkeypatch):
+        scanned = []
+        is_classical = BraidWord.is_classical
+
+        def counted(word):
+            scanned.append(word)
+            return is_classical(word)
+
+        monkeypatch.setattr(BraidWord, "is_classical", counted)
+        rng = random.Random(n)
+        w1, w2 = (random_reduced_word(n, 40, rng, virtual=False) for _ in "12")
+        for decide in (distinguish_vbn, are_equal_bn):
+            scanned.clear()
+            assert decide(w1, w2).status is Equality.DISTINCT
+            assert len(scanned) == 2 and scanned[0] is w1 and scanned[1] is w2, len(scanned)
+
     @pytest.mark.parametrize("cut", [0, 1, 57, 100, 199, 200])
     def test_bn_acts_up_to_the_inserted_relator(self, cut, monkeypatch):
         rng = random.Random(cut)
